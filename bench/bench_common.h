@@ -334,13 +334,20 @@ inline int RunBenchmarks(int* argc, char** argv) {
 
   benchmark::Initialize(argc, argv);
   if (benchmark::ReportUnrecognizedArguments(*argc, argv)) return 1;
+  size_t ran = 0;
   if (json_path.empty()) {
-    benchmark::RunSpecifiedBenchmarks();
+    ran = benchmark::RunSpecifiedBenchmarks();
   } else {
     JsonRecordReporter reporter(std::move(json_path));
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   }
   benchmark::Shutdown();
+  // A run that measured nothing (a --benchmark_filter matching no benchmark)
+  // is a failure, not a vacuous pass: smoke gates must not go silently empty.
+  if (ran == 0) {
+    std::fprintf(stderr, "no benchmark matched the filter; nothing ran\n");
+    return 1;
+  }
 
   if (sink != nullptr) {
     telemetry::SetTraceSink(nullptr);

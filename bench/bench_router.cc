@@ -24,8 +24,9 @@
 //     equivalent configurations: the future release spelling
 //     Sub(x) R (!Audit(sys) | !Fill(x) | Sub(x)) on the automaton (router
 //     off) and on the point backend (router on), and the Proposition 2.1
-//     past spelling G ((Audit(sys) & Fill(x)) -> O Sub(x)) on the
-//     history-less past evaluator (router_force_past).
+//     past spelling G forall x . ((Audit(sys) & Fill(x)) -> O Sub(x)) on
+//     the history-less past evaluator (no universal prefix, so the default
+//     router routes it there).
 //   Qtcn — a 4-event point-algebra chain E0 <= E1 <= E2 <= E3 per element,
 //     letter-disjoint across elements: the parity check. Router off serves
 //     it from the cohort lockstep path, router on from the point backend;
@@ -58,7 +59,7 @@ struct RouterFixture {
   std::shared_ptr<fotl::FormulaFactory> factory;
   fotl::Formula shared_trigger = nullptr;  // forall x . G (Audit -> G Fill(x))
   fotl::Formula preceded_release = nullptr;  // Sub R (!Audit | Sub), future
-  fotl::Formula preceded_past = nullptr;     // G (Audit -> O Sub(x)), past
+  fotl::Formula preceded_past = nullptr;     // G forall x (Audit -> O Sub(x))
   fotl::Formula qtcn_chain = nullptr;        // E0 <= E1 <= E2 <= E3
 
   RouterFixture() {
@@ -78,7 +79,7 @@ struct RouterFixture {
         factory.get(),
         "forall x . !((!Sub(x)) until (Audit(sys) & Fill(x) & !Sub(x)))");
     preceded_past = *fotl::Parse(
-        factory.get(), "forall x . G ((Audit(sys) & Fill(x)) -> O Sub(x))");
+        factory.get(), "G (forall x . ((Audit(sys) & Fill(x)) -> O Sub(x)))");
     // first(Ei) at-or-before first(Ei+1), the weak point-algebra unit
     // Ei R (!Ei+1 | Ei) spelled through until.
     std::string chain;
@@ -214,7 +215,6 @@ void BM_Router_PrecededBy(benchmark::State& state, PrecededConfig config) {
       opts.router = true;
       break;
     case PrecededConfig::kPast:
-      opts.router_force_past = true;
       phi = fx.preceded_past;
       break;
   }

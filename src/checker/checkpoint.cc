@@ -18,9 +18,10 @@ namespace {
 namespace snap = tic::snapshot;
 
 // option_flags bit layout inside the kSecMeta prefix (kStateVersion 1).
+// Bit 2 held a retired force-past option and is no longer known: a snapshot
+// that sets it fails closed, like any other unknown bit.
 constexpr uint32_t kFlagRequireSafety = 1u << 0;
 constexpr uint32_t kFlagRouter = 1u << 1;
-constexpr uint32_t kFlagRouterForcePast = 1u << 2;
 constexpr uint32_t kFlagCohortStepping = 1u << 3;
 constexpr uint32_t kFlagProvenance = 1u << 4;
 constexpr uint32_t kFlagWantWitness = 1u << 5;
@@ -30,9 +31,9 @@ constexpr uint32_t kFlagCurLetterValid = 1u << 8;
 constexpr uint32_t kFlagAnyVerdict = 1u << 9;
 constexpr uint32_t kFlagLastSat = 1u << 10;
 constexpr uint32_t kKnownOptionFlags =
-    kFlagRequireSafety | kFlagRouter | kFlagRouterForcePast |
-    kFlagCohortStepping | kFlagProvenance | kFlagWantWitness | kFlagDead |
-    kFlagCompacted | kFlagCurLetterValid | kFlagAnyVerdict | kFlagLastSat;
+    kFlagRequireSafety | kFlagRouter | kFlagCohortStepping | kFlagProvenance |
+    kFlagWantWitness | kFlagDead | kFlagCompacted | kFlagCurLetterValid |
+    kFlagAnyVerdict | kFlagLastSat;
 
 // ---------------------------------------------------------------------------
 // Encoding helpers
@@ -425,7 +426,6 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   uint32_t flags = 0;
   if (m.options_.require_safety) flags |= kFlagRequireSafety;
   if (m.options_.router) flags |= kFlagRouter;
-  if (m.options_.router_force_past) flags |= kFlagRouterForcePast;
   if (m.options_.cohort_stepping) flags |= kFlagCohortStepping;
   if (m.options_.provenance) flags |= kFlagProvenance;
   if (m.options_.want_witness) flags |= kFlagWantWitness;
@@ -577,7 +577,8 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
   if (meta.backend > static_cast<uint8_t>(MonitorBackend::kPastStateless)) {
     return Status::ParseError("snapshot: unknown backend byte");
   }
-  if (meta.mode > static_cast<uint8_t>(MonitorMode::kEagerHistoryLess)) {
+  // Mode byte 2 held the retired history-less mode: rejected as unknown.
+  if (meta.mode > static_cast<uint8_t>(MonitorMode::kLazy)) {
     return Status::ParseError("snapshot: unknown mode byte");
   }
   if ((meta.option_flags & ~kKnownOptionFlags) != 0) {
@@ -678,7 +679,6 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
   CheckOptions options;
   options.require_safety = (flags & kFlagRequireSafety) != 0;
   options.router = (flags & kFlagRouter) != 0;
-  options.router_force_past = (flags & kFlagRouterForcePast) != 0;
   options.cohort_stepping = (flags & kFlagCohortStepping) != 0;
   options.provenance = (flags & kFlagProvenance) != 0;
   options.want_witness = (flags & kFlagWantWitness) != 0;

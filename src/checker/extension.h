@@ -43,42 +43,36 @@ enum class MonitorBackend {
   ///    under a clamped budget and falls back to progression when the cover
   ///    blows up (multi-instance groundings).
   /// Verdict-equivalent to kProgression. Effective for MonitorMode::kEager
-  /// and for batch checks with `want_witness == false`; other monitor modes
-  /// and witness-producing checks fall back to kProgression (kLazy's weak
-  /// verdicts and the history-less renaming are progression-specific, and
-  /// witness decoding needs the residual formula).
+  /// and for batch checks with `want_witness == false`; kLazy monitors and
+  /// witness-producing checks fall back to kProgression (kLazy's weak
+  /// verdicts are progression-specific, and witness decoding needs the
+  /// residual formula).
   kAutomaton,
   /// The tableau-free past evaluator (past::PastMonitor), selected by the
   /// fragment router for closed `G A` constraints with A a past formula and
-  /// no universal prefix (Proposition 2.1): one history-less pass per update,
+  /// no universal prefix (Proposition 2.1), e.g. `G forall x . A`. The route
+  /// depends on the formula alone: a universal sentence `forall x . G A`
+  /// stays on the Theorem 4.2 path. One history-less pass per update,
   /// no grounding, no tableau, no stored word. Verdict-equivalent on this
   /// fragment — `G A` with A past is violated exactly when A fails at some
   /// instant <= now, which is also when potential satisfaction is lost.
   kPastStateless,
 };
 
-/// \brief How eagerly the monitor detects violations, and how it catches up
-/// instances for newly relevant elements. (Lives here rather than monitor.h
-/// so provenance replay helpers can name a mode without the full Monitor.)
+/// \brief How eagerly the monitor detects violations. (Lives here rather than
+/// monitor.h so provenance replay helpers can name a mode without the full
+/// Monitor.) Both modes catch new-element instances up by replaying the
+/// stored word from its basis; Monitor::Compact() folds that word away, and
+/// calling it after every update monitors without a stored history.
 enum class MonitorMode {
   /// Exact potential satisfaction (Theorem 4.2): run the satisfiability check
   /// after every update, detecting violations at the earliest possible time.
-  /// New-element instances are caught up by replaying the stored history.
   kEager,
   /// The weaker notion implemented by Lipeck & Saake (Section 5): only the
   /// linear-time progression runs per update, so violations are always
   /// detected (the residual collapses to false) but possibly later than the
   /// earliest time. Cheap: no exponential phase per update.
   kLazy,
-  /// Eager verdicts WITHOUT storing the propositional history — an answer (in
-  /// this setting) to the Section 6 open question of a history-less method
-  /// for universal formulas. The z-stand-in atoms are kept as real letters
-  /// (never true in any state) instead of being folded to false; when an
-  /// element e becomes relevant, its instances' residuals are obtained from
-  /// the matching z-pattern instance by *renaming letters* (e was
-  /// indistinguishable from the stand-in over the entire past), so no replay
-  /// is needed. Per-update memory is O(residuals), independent of t.
-  kEagerHistoryLess,
 };
 
 /// \brief Options for the Theorem 4.2 decision procedure.
@@ -114,8 +108,11 @@ struct CheckOptions {
   /// the monitor dispatches work away from the tableau machinery wherever a
   /// cheaper exact backend applies:
   ///  - Constraints of the form `G A` with A a *past* formula (no universal
-  ///    prefix) run entirely on the history-less past evaluator
-  ///    (MonitorBackend::kPastStateless) — no grounding, no automaton.
+  ///    prefix, e.g. `G forall x . A`) run entirely on the history-less past
+  ///    evaluator (MonitorBackend::kPastStateless) — no grounding, no
+  ///    automaton. The decision reads the formula alone; to check a universal
+  ///    `forall x . G A` under classical G-past semantics, use
+  ///    past::PastMonitor directly.
   ///  - Grounded instances whose formulas match the point-algebra fragment
   ///    (conjunctions of order/invariant/trigger/release clauses,
   ///    ptl/fragment.h) step through the watched-literal PointBackend:
@@ -128,11 +125,6 @@ struct CheckOptions {
   /// Effective in MonitorMode::kEager with the kAutomaton backend; other
   /// modes ignore it.
   bool router = true;
-  /// Force the past route even for constraints the router would send to the
-  /// universal-safety path (pure-FO `forall* G b` sentences whose bodies the
-  /// past evaluator also handles). Diagnostic/differential knob; implies no
-  /// potential-satisfaction semantics difference on the overlap fragment.
-  bool router_force_past = false;
 
   /// Step letter-disjoint grounded instances in cohorts: instances whose
   /// residuals share no ground atoms are grouped by compiled automaton

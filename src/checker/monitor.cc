@@ -64,35 +64,28 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
   // with A a past formula runs entirely on the history-less past evaluator —
   // no grounding, no safety skeleton, no automaton. Universal sentences keep
   // the Theorem 4.2 machinery (grounded potential satisfaction is what the
-  // paper's procedure buys) unless router_force_past insists; on that overlap
-  // (pure-FO bodies) the two verdicts coincide, which the router-diff suite
-  // checks three ways.
-  if (mode == MonitorMode::kEager && c.closed && c.is_always_past &&
-      (options.router_force_past || (options.router && !c.universal))) {
-    Result<std::unique_ptr<past::PastMonitor>> lowered =
-        past::PastMonitor::Create(fotl_factory, phi, constant_interp);
-    if (!lowered.ok() && !c.universal) {
-      // A non-universal sentence has no Theorem 4.2 fallback to offer.
-      return lowered.status();
-    }
-    if (lowered.ok()) {
-      TIC_ASSIGN_OR_RETURN(
-          History h, History::Create(fotl_factory->vocabulary(),
-                                     std::move(constant_interp)));
-      std::unique_ptr<Monitor> m(new Monitor(std::move(fotl_factory), phi,
-                                             std::move(h), options, mode));
-      m->backend_ = MonitorBackend::kPastStateless;
-      m->past_ = std::move(*lowered);
+  // paper's procedure buys), so the route is decided by the formula alone; a
+  // non-universal sentence has no Theorem 4.2 fallback, so a lowering failure
+  // is the answer.
+  if (mode == MonitorMode::kEager && options.router && c.closed &&
+      c.is_always_past && !c.universal) {
+    TIC_ASSIGN_OR_RETURN(
+        std::unique_ptr<past::PastMonitor> lowered,
+        past::PastMonitor::Create(fotl_factory, phi, constant_interp));
+    TIC_ASSIGN_OR_RETURN(History h,
+                         History::Create(fotl_factory->vocabulary(),
+                                         std::move(constant_interp)));
+    std::unique_ptr<Monitor> m(new Monitor(std::move(fotl_factory), phi,
+                                           std::move(h), options, mode));
+    m->backend_ = MonitorBackend::kPastStateless;
+    m->past_ = std::move(lowered);
 #ifdef TIC_TELEMETRY_ENABLED
-      telemetry::EnsureThreadRing();
+    telemetry::EnsureThreadRing();
 #endif
-      size_t tables = m->past_->num_tables();
-      TIC_RECORD(kRouteDecision, 2, 1, tables);
-      (void)tables;
-      return m;
-    }
-    // else: lowering declined (an unsupported builtin, an over-wide auxiliary
-    // table) — fall through to the universal-safety path.
+    size_t tables = m->past_->num_tables();
+    TIC_RECORD(kRouteDecision, 2, 1, tables);
+    (void)tables;
+    return m;
   }
   if (!c.universal) {
     return Status::NotSupported(
@@ -112,8 +105,7 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
     m->options_.tableau.verdict_cache = std::make_shared<ptl::VerdictCache>();
   }
   // Resolve the effective backend: the automaton run replaces exact eager
-  // monitoring only. kLazy's weak verdicts and the history-less letter
-  // renaming are progression-specific, so those modes keep kProgression.
+  // monitoring only. kLazy's weak verdicts are progression-specific.
   m->backend_ = m->options_.backend;
   if (mode != MonitorMode::kEager) m->backend_ = MonitorBackend::kProgression;
   // Cohort stepping compiles per-instance automata through the
@@ -286,13 +278,13 @@ ptl::PropId Monitor::Letter(PredicateId pred, const std::vector<Value>& codes) {
   return id;
 }
 
-Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assignment,
-                                           size_t keep_z_from) {
+Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assignment) {
   // Simplified-mode grounding (equalities folded, z-atoms false); see
   // GroundingMode::kSimplified. Explicit-stack post-order traversal, like the
   // safety-gate skeleton builder: a deep user matrix must not overflow the
   // native call stack.
   using fotl::NodeKind;
+  const size_t num_real_z = external_.size();
   std::unordered_map<fotl::VarId, GroundElem> env;
   for (size_t i = 0; i < external_.size(); ++i) env[external_[i]] = assignment[i];
 
@@ -341,20 +333,15 @@ Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assign
       bool has_folded_z = false;
       for (const fotl::Term& t : fr.f->terms()) {
         TIC_ASSIGN_OR_RETURN(GroundElem e, resolve(t));
-        // Stand-ins at or past keep_z_from survive as letters (compaction
-        // patterns); below it they fold per Axiom_D as before.
-        has_folded_z = has_folded_z || (e.is_z() && e.z_index() < keep_z_from);
+        // Real stand-ins Z(0..k-1) fold per Axiom_D (kSimplified grounding).
+        // Kept stand-ins Z(k..) only occur in compaction patterns: they stay
+        // letters so renaming can instantiate future arrivals.
+        has_folded_z = has_folded_z || (e.is_z() && e.z_index() < num_real_z);
         codes.push_back(e.code);
       }
-      if (has_folded_z && mode_ != MonitorMode::kEagerHistoryLess) {
-        // Folded per Axiom_D (kSimplified grounding).
-        memo.emplace(fr.f, pf->False());
-      } else {
-        // History-less mode keeps stand-in letters unfolded: they are never
-        // true in any w state, and they are what fresh-element instances are
-        // renamed from.
-        memo.emplace(fr.f, pf->Atom(Letter(fr.f->predicate(), codes)));
-      }
+      memo.emplace(fr.f, has_folded_z
+                             ? pf->False()
+                             : pf->Atom(Letter(fr.f->predicate(), codes)));
       continue;
     }
     fotl::Formula c0 = fr.f->child(0);
@@ -435,59 +422,8 @@ Result<ptl::Formula> Monitor::ProgressThroughWord(ptl::Formula residual) {
 Result<ptl::Formula> Monitor::GroundAndCatchUp(
     const std::vector<GroundElem>& assignment) {
   TIC_SPAN("monitor.catch_up");
-  // After a compaction the folded prefix can't be replayed; the checkpoint
-  // pattern residual takes GroundMatrix's place as the catch-up basis, and
-  // the stored word covers exactly the post-checkpoint suffix.
-  ptl::Formula base;
-  if (compacted_) {
-    TIC_ASSIGN_OR_RETURN(base, CompactBaseResidual(assignment));
-  } else {
-    TIC_ASSIGN_OR_RETURN(base, GroundMatrix(assignment));
-  }
+  TIC_ASSIGN_OR_RETURN(ptl::Formula base, CatchUpBasis(assignment));
   return ProgressThroughWord(base);
-}
-
-Result<ptl::Formula> Monitor::RenameFromPattern(
-    const std::vector<GroundElem>& assignment) {
-  // Canonical pattern: each distinct fresh (just-became-relevant) element is
-  // replaced by a distinct stand-in index not otherwise used by the
-  // assignment. Over the whole past, the element was indistinguishable from
-  // that stand-in, so the pattern instance's residual — with the stand-in
-  // letters renamed — IS the fresh instance's residual. No history replay.
-  std::unordered_set<size_t> used_z;
-  for (const GroundElem& e : assignment) {
-    if (e.is_z()) used_z.insert(e.z_index());
-  }
-  std::unordered_map<Value, GroundElem> fresh_to_z;  // element -> stand-in
-  std::vector<GroundElem> pattern = assignment;
-  size_t next_z = 0;
-  for (GroundElem& e : pattern) {
-    if (e.is_z()) continue;
-    if (std::binary_search(known_relevant_.begin(), known_relevant_.end(),
-                           e.value())) {
-      continue;  // long-relevant element: stays
-    }
-    auto it = fresh_to_z.find(e.value());
-    if (it != fresh_to_z.end()) {
-      e = it->second;
-      continue;
-    }
-    while (used_z.count(next_z) > 0) ++next_z;
-    used_z.insert(next_z);
-    GroundElem z = GroundElem::Z(next_z);
-    fresh_to_z.emplace(e.value(), z);
-    e = z;
-  }
-
-  const size_t* pattern_idx = instance_index_.Get(pattern);
-  if (pattern_idx == nullptr) {
-    return Status::Internal("history-less catch-up: pattern instance missing");
-  }
-  ptl::Formula pattern_residual = instances_[*pattern_idx].residual;
-
-  std::unordered_map<Value, Value> code_map;  // z code -> element value
-  for (const auto& [value, z] : fresh_to_z) code_map.emplace(z.code, value);
-  return RenameResidualCodes(pattern_residual, code_map);
 }
 
 ptl::Formula Monitor::RenameResidualCodes(
@@ -575,16 +511,19 @@ ptl::Formula Monitor::RenameLetters(
   return go(f);
 }
 
-Result<ptl::Formula> Monitor::CompactBaseResidual(
+Result<ptl::Formula> Monitor::CatchUpBasis(
     const std::vector<GroundElem>& assignment) {
-  // Canonicalize: every element unknown at the checkpoint — a concrete
-  // element outside compact_relevant_, or a stand-in with index >= k — is
-  // renumbered onto the kept stand-ins Z(k), Z(k+1), ... in first-occurrence
-  // order, matching the canonical form BuildCompactPatterns enumerated. Over
-  // the folded prefix such an element was indistinguishable from its kept
-  // stand-in (both letter-false throughout), so the pattern's checkpoint
-  // residual with the stand-in letters renamed back IS this assignment's
-  // checkpoint residual.
+  // Before any fold the stored word starts at t=0: the basis is the
+  // grounding itself.
+  if (!compacted_) return GroundMatrix(assignment);
+  // After a fold the prefix can no longer be replayed. Canonicalize: every
+  // element unknown at the checkpoint — a concrete element outside
+  // compact_relevant_, or a stand-in with index >= k — is renumbered onto the
+  // kept stand-ins Z(k), Z(k+1), ... in first-occurrence order, matching the
+  // canonical form BuildCompactPatterns enumerated. Over the folded prefix
+  // such an element was indistinguishable from its kept stand-in (both
+  // letter-false throughout), so the pattern's checkpoint residual with the
+  // stand-in letters renamed back IS this assignment's checkpoint residual.
   const size_t k = external_.size();
   std::vector<GroundElem> pattern = assignment;
   std::unordered_map<Value, GroundElem> unknown_to_z;  // original code -> kept z
@@ -674,14 +613,9 @@ Status Monitor::BuildCompactPatterns() {
       for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
       // Basis at the last checkpoint (or t=0 on the first compaction), then
       // the stored word brings it to the new checkpoint. The kept stand-ins
-      // ground as live letters — GroundMatrix's keep_z_from — so the residual
-      // still mentions them and renaming can instantiate future arrivals.
-      ptl::Formula base;
-      if (compacted_) {
-        TIC_ASSIGN_OR_RETURN(base, CompactBaseResidual(assignment));
-      } else {
-        TIC_ASSIGN_OR_RETURN(base, GroundMatrix(assignment, /*keep_z_from=*/k));
-      }
+      // ground as live letters, so the residual still mentions them and
+      // renaming can instantiate future arrivals.
+      TIC_ASSIGN_OR_RETURN(ptl::Formula base, CatchUpBasis(assignment));
       TIC_ASSIGN_OR_RETURN(ptl::Formula residual, ProgressThroughWord(base));
       index.Emplace(assignment, patterns.size());
       patterns.push_back(CompactPattern{std::move(assignment), residual});
@@ -704,18 +638,9 @@ Status Monitor::Compact() {
   if (history_.length() <= 1) return Status::OK();  // nothing to fold
   const size_t folded = history_.length() - 1;
 
-  if (mode_ == MonitorMode::kEagerHistoryLess) {
-    // History-less monitoring already keeps no word and catches fresh
-    // elements up by stand-in renaming: folding is pure truncation.
-    TIC_RETURN_NOT_OK(history_.DropPrefix(folded));
-    time_base_ += folded;
-    TIC_COUNTER_ADD("monitor/compactions", 1);
-    return Status::OK();
-  }
-
   if (!dead_) {
     // Order matters: patterns first (a second compaction reads the previous
-    // checkpoint's patterns through CompactBaseResidual), then the automaton
+    // checkpoint's patterns through CatchUpBasis), then the automaton
     // originals, which the pattern build must still see un-rebased via
     // instance_index_ fallbacks.
     TIC_RETURN_NOT_OK(BuildCompactPatterns());
@@ -1551,23 +1476,23 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   }
   std::sort(fresh.begin(), fresh.end());
 
-  // Enumerates every assignment over the merged domain that touches a fresh
-  // element and hands it to `make` to build its residual.
-  auto create_fresh_instances =
-      [&](const std::function<Result<ptl::Formula>(
-              const std::vector<GroundElem>&)>& make) -> Status {
-    size_t k = external_.size();
-    if (k == 0 || fresh.empty()) return Status::OK();
+  // Registers this update's fresh elements: enumerates every assignment over
+  // the merged domain that touches one, hands it to `make` to build its
+  // residual, then adds them to known_relevant_.
+  auto add_fresh = [&](auto make) -> Status {
+    if (fresh.empty()) return Status::OK();
+    TIC_SPAN("monitor.fresh_instances");
     std::vector<Value> merged;
     std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
                fresh.end(), std::back_inserter(merged));
+    const size_t k = external_.size();
     std::vector<GroundElem> domain;
     for (Value v : merged) domain.push_back(GroundElem::Relevant(v));
     for (size_t i = 0; i < k; ++i) domain.push_back(GroundElem::Z(i));
     std::unordered_set<Value> fresh_set(fresh.begin(), fresh.end());
 
     std::vector<size_t> idx(k, 0);
-    while (true) {
+    while (k > 0) {
       bool touches_fresh = false;
       for (size_t i = 0; i < k; ++i) {
         const GroundElem& e = domain[idx[i]];
@@ -1590,6 +1515,7 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
       }
       if (d == k) break;
     }
+    known_relevant_ = std::move(merged);
     return Status::OK();
   };
 
@@ -1632,45 +1558,17 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
 
   TIC_COUNTER_ADD("monitor/fresh_elements", fresh.size());
 
-  if (mode_ == MonitorMode::kEagerHistoryLess) {
-    // Fresh instances first (renamed from their stand-in patterns, whose
-    // residuals are still at the t-1 basis), then progress everything through
-    // the new state. The propositional history is never stored.
-    TIC_RETURN_NOT_OK([&] {
-      TIC_SPAN("monitor.fresh_instances");
-      return create_fresh_instances(
-          [&](const std::vector<GroundElem>& a) { return RenameFromPattern(a); });
-    }());
-    if (!fresh.empty()) {
-      std::vector<Value> merged;
-      std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged));
-      known_relevant_ = std::move(merged);
-    }
-    TIC_RETURN_NOT_OK(ProgressAll(w, &verdict.num_residual_classes));
-  } else if (backend_ == MonitorBackend::kAutomaton) {
+  if (backend_ == MonitorBackend::kAutomaton) {
     // Automaton backend (kEager): instances keep their ORIGINAL grounded
     // formulas; the residual-graph automaton advances one memoized state id
     // per update. Recurring database states cost a hash lookup — no
     // progression rewrite, no conjunction rebuild, no tableau.
     append_letter();
     size_t first_new = instances_.size();
-    if (!fresh.empty()) {
-      TIC_RETURN_NOT_OK([&] {
-        TIC_SPAN("monitor.fresh_instances");
-        // The automaton machinery replays the stored word uniformly for every
-        // instance, so fresh instances store their word-start basis: the
-        // grounded original — or, once compacted, the checkpoint pattern
-        // residual (the folded prefix is no longer replayable).
-        return create_fresh_instances([&](const std::vector<GroundElem>& a) {
-          return compacted_ ? CompactBaseResidual(a) : GroundMatrix(a);
-        });
-      }());
-      std::vector<Value> merged;
-      std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged));
-      known_relevant_ = std::move(merged);
-    }
+    // The automaton machinery replays the stored word uniformly for every
+    // instance, so fresh instances store their word-start basis.
+    TIC_RETURN_NOT_OK(add_fresh(
+        [&](const std::vector<GroundElem>& a) { return CatchUpBasis(a); }));
     bool cohort_live = true;
     bool joint_live = true;
     bool pa_live = true;
@@ -1762,17 +1660,8 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   } else {
     append_letter();
     TIC_RETURN_NOT_OK(ProgressAll(w, &verdict.num_residual_classes));
-    if (!fresh.empty()) {
-      TIC_RETURN_NOT_OK([&] {
-        TIC_SPAN("monitor.fresh_instances");
-        return create_fresh_instances(
-            [&](const std::vector<GroundElem>& a) { return GroundAndCatchUp(a); });
-      }());
-      std::vector<Value> merged;
-      std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged));
-      known_relevant_ = std::move(merged);
-    }
+    TIC_RETURN_NOT_OK(add_fresh(
+        [&](const std::vector<GroundElem>& a) { return GroundAndCatchUp(a); }));
   }
 
   // Conjunction of residuals, balanced (AndAll) rather than left-deep: the
@@ -1917,14 +1806,7 @@ Result<Diagnosis> Monitor::DiagnoseInstance(uint32_t idx, size_t t,
   }
   TIC_ASSIGN_OR_RETURN(d.grounded, GroundMatrix(inst.assignment));
   ptl::PropState fatal_w = w;
-  if (!word_.empty()) {
-    TIC_RETURN_NOT_OK(BuildTrajectory(d.grounded, &d, &fatal_w));
-  } else {
-    // History-less mode stores no word: report the current residual only.
-    d.residual = inst.residual;
-    d.trajectory.push_back(
-        DiagnosisStep{t, inst.residual, inst.residual->size()});
-  }
+  TIC_RETURN_NOT_OK(BuildTrajectory(d.grounded, &d, &fatal_w));
   if (d.last_live != nullptr && d.last_live->kind() != ptl::Kind::kFalse) {
     TIC_ASSIGN_OR_RETURN(
         ptl::CollapseExplanation ce,
@@ -1960,7 +1842,7 @@ Status Monitor::BuildExplanations(size_t t, const ptl::PropState& w,
     // unsat-but-not-false conjunction: replay each instance's grounded
     // original through the stored word — capped, memoized per distinct
     // original — looking for individually false (then unsat) residuals.
-    if (culprits.empty() && !word_.empty()) {
+    if (culprits.empty()) {
       std::unordered_map<ptl::Formula, ptl::Formula> final_of;
       std::vector<std::pair<uint32_t, ptl::Formula>> finals;
       for (uint32_t i = 0;

@@ -111,6 +111,10 @@ class Monitor {
   /// assignments over stand-ins kept as letters — by renaming, exactly the
   /// paper's indistinguishability argument. Verdicts are unaffected;
   /// `verdict.time` keeps counting absolute instants via time_base().
+  /// Compacting after every update keeps no propositional history at all:
+  /// eager verdicts with state independent of t, this implementation's answer
+  /// to the Section 6 question of history-less checking for universal
+  /// formulas.
   /// ResourceExhausted (monitor unchanged) when the pattern enumeration would
   /// exceed kMaxCompactEnumeration.
   Status Compact();
@@ -139,8 +143,8 @@ class Monitor {
   Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory, fotl::Formula phi,
           History history, CheckOptions options, MonitorMode mode);
 
-  // Grounds the matrix for one instance assignment and progresses it through
-  // the whole current history (used when new elements join R_D).
+  // Residual of `assignment` at the current instant: its catch-up basis
+  // progressed through the stored word (used when new elements join R_D).
   Result<ptl::Formula> GroundAndCatchUp(const std::vector<GroundElem>& assignment);
 
   // Progresses every live residual through `w`: residuals are partitioned into
@@ -154,12 +158,10 @@ class Monitor {
   ptl::PropState PropStateOf(size_t t);
 
   // Grounds the matrix under `assignment` (kSimplified: equalities folded,
-  // stand-in atoms false). Atoms mentioning a stand-in with index >=
-  // `keep_z_from` are KEPT as letters instead of folding — the compaction
-  // patterns use indices k.. for future-fresh elements, so their letters
-  // survive grounding while the real stand-ins 0..k-1 still fold.
-  Result<ptl::Formula> GroundMatrix(const std::vector<GroundElem>& assignment,
-                                    size_t keep_z_from = SIZE_MAX);
+  // atoms over the real stand-ins Z(0..k-1) false). Atoms over a kept
+  // stand-in Z(k..) stay letters: the compaction patterns use those indices
+  // for future-fresh elements, so their letters survive grounding.
+  Result<ptl::Formula> GroundMatrix(const std::vector<GroundElem>& assignment);
   ptl::PropId Letter(PredicateId pred, const std::vector<Value>& codes);
 
   // Progresses `f` through the whole stored word (RLE fixpoint per run).
@@ -173,30 +175,26 @@ class Monitor {
   // structures and swaps at the end, so a second compaction can read the
   // previous checkpoint's patterns while building.
   Status BuildCompactPatterns();
-  // Residual of `assignment` at the checkpoint: elements unknown at the fold
-  // (not in compact_relevant_, or stand-ins with index >= k) are canonically
-  // renumbered onto the kept stand-ins, the matching pattern residual is
-  // looked up, and its kept-stand-in letters are renamed back to the real
-  // element codes. Replaces GroundMatrix as the catch-up basis once
-  // compacted_ — the folded prefix can no longer be replayed.
-  Result<ptl::Formula> CompactBaseResidual(
-      const std::vector<GroundElem>& assignment);
+  // The one catch-up basis: the residual of `assignment` at the start of the
+  // stored word. Before any fold that is GroundMatrix. After one, elements
+  // unknown at the fold (not in compact_relevant_, or stand-ins with index
+  // >= k) are canonically renumbered onto the kept stand-ins, the matching
+  // pattern residual is looked up, and its kept-stand-in letters are renamed
+  // back to the real element codes: Theorem 4.1's indistinguishability
+  // argument, since the folded prefix can no longer be replayed.
+  Result<ptl::Formula> CatchUpBasis(const std::vector<GroundElem>& assignment);
   // Renames every letter whose key mentions a source code of `code_map` to
   // the letter with the destination code substituted (minting on demand).
   ptl::Formula RenameResidualCodes(
       ptl::Formula f, const std::unordered_map<Value, Value>& code_map);
+  ptl::Formula RenameLetters(ptl::Formula f,
+                             const std::unordered_map<ptl::PropId, ptl::PropId>& map);
 
   // Automaton backend (kEager only): advances the shared transition system
   // through the new state, recompiling the joint formula and replaying the
   // stored word first when fresh-element instances changed it.
   Status AutomatonApply(bool joint_changed, const ptl::PropState& w,
                         MonitorVerdict* verdict);
-
-  // History-less catch-up: derives the residual of a fresh-element assignment
-  // by renaming the stand-in letters of its z-pattern instance's residual.
-  Result<ptl::Formula> RenameFromPattern(const std::vector<GroundElem>& assignment);
-  ptl::Formula RenameLetters(ptl::Formula f,
-                             const std::unordered_map<ptl::PropId, ptl::PropId>& map);
 
   std::shared_ptr<fotl::FormulaFactory> ffac_;
   fotl::Formula phi_;

@@ -8,7 +8,9 @@
 #include "checker/extension.h"
 #include "checker/monitor.h"
 #include "checker/trigger.h"
+#include "fotl/classify.h"
 #include "fotl/printer.h"
+#include "past/past_monitor.h"
 #include "ptl/transition_system.h"
 #include "ptl/word.h"
 #include "testing/reproducer.h"
@@ -146,26 +148,24 @@ Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
   return OracleResult{};
 }
 
-Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
-  // Four independent constructions of the same per-update verdict sequence:
-  // the literal progression procedure, the automaton path with the router
-  // off, the router's default configuration, and the router with the past
-  // route forced (which only engages when the sentence is always-past; on
-  // anything else it degenerates to the default router).
+Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed,
+                                        bool* past_leg) {
+  // Three monitor constructions of the same per-update verdict sequence: the
+  // literal progression procedure, the automaton path with the router off,
+  // and the router's default configuration. On always-past sentences a
+  // fourth leg runs past::PastMonitor directly: its classical G-past verdict
+  // must coincide with potential satisfaction (Proposition 2.1).
   struct Config {
     const char* name;
     checker::CheckOptions opts;
   };
-  std::vector<Config> configs(4);
+  std::vector<Config> configs(3);
   configs[0].name = "progression";
   configs[0].opts.backend = checker::MonitorBackend::kProgression;
   configs[1].name = "router-off";
   configs[1].opts.router = false;
   configs[2].name = "router";
   configs[2].opts.router = true;
-  configs[3].name = "router+force-past";
-  configs[3].opts.router = true;
-  configs[3].opts.router_force_past = true;
 
   std::vector<std::unique_ptr<checker::Monitor>> monitors;
   for (const Config& cfg : configs) {
@@ -173,6 +173,22 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
         auto m, checker::Monitor::Create(c.factory, c.sentence, {}, cfg.opts));
     monitors.push_back(std::move(m));
   }
+  std::unique_ptr<past::PastMonitor> past_monitor;
+  fotl::Classification cls = fotl::Classify(c.sentence);
+  if (cls.closed && cls.is_always_past) {
+    auto pm = past::PastMonitor::Create(c.factory, c.sentence);
+    if (pm.ok()) past_monitor = std::move(*pm);
+  }
+  if (past_leg != nullptr) *past_leg = past_monitor != nullptr;
+  auto diverged = [&](size_t t, const checker::MonitorVerdict& ref,
+                      const std::string& name, bool sat, bool dead) {
+    return Fail("router config divergence at t=" + std::to_string(t) +
+                    ": progression (sat=" + std::to_string(ref.potentially_satisfied) +
+                    ", dead=" + std::to_string(ref.permanently_violated) + ") vs " +
+                    name + " (sat=" + std::to_string(sat) +
+                    ", dead=" + std::to_string(dead) + ")",
+                c);
+  };
   size_t max_routed = 0;
   for (size_t t = 0; t < c.stream.size(); ++t) {
     TIC_ASSIGN_OR_RETURN(auto ref, monitors[0]->ApplyTransaction(c.stream[t]));
@@ -180,13 +196,8 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
       TIC_ASSIGN_OR_RETURN(auto v, monitors[i]->ApplyTransaction(c.stream[t]));
       if (v.potentially_satisfied != ref.potentially_satisfied ||
           v.permanently_violated != ref.permanently_violated) {
-        return Fail(
-            std::string("router config divergence at t=") + std::to_string(t) +
-                ": progression (sat=" + std::to_string(ref.potentially_satisfied) +
-                ", dead=" + std::to_string(ref.permanently_violated) + ") vs " +
-                configs[i].name + " (sat=" + std::to_string(v.potentially_satisfied) +
-                ", dead=" + std::to_string(v.permanently_violated) + ")",
-            c);
+        return diverged(t, ref, configs[i].name, v.potentially_satisfied,
+                        v.permanently_violated);
       }
       if (i == 1 && v.num_pointalg_instances != 0) {
         return Fail("router-off monitor routed " +
@@ -195,6 +206,16 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
                     c);
       }
       if (i == 2) max_routed = std::max(max_routed, v.num_pointalg_instances);
+    }
+    if (past_monitor != nullptr) {
+      TIC_ASSIGN_OR_RETURN(past::PastVerdict pv,
+                           past_monitor->ApplyTransaction(c.stream[t]));
+      // G-past violations are permanent: losing classical satisfaction is
+      // losing potential satisfaction.
+      bool dead = pv.first_violation.has_value();
+      if (dead == ref.potentially_satisfied || dead != ref.permanently_violated) {
+        return diverged(t, ref, "past evaluator", !dead, dead);
+      }
     }
   }
   if (max_routed < min_routed) {

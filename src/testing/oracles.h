@@ -75,14 +75,18 @@ Result<OracleResult> RenamingInvariant(const FotlCase& c,
                                        const std::function<Value(Value)>& perm);
 
 /// \brief Router-configuration equality: the tractable-fragment router
-/// (point-algebra backend for matching components, forced past route where
-/// the sentence allows it) must produce exactly the per-update verdicts of
-/// the router-off automaton path and of the literal progression baseline, on
-/// every transaction of the case. When `min_routed > 0`, additionally fails
-/// unless the router-on monitor reports at least that many point-algebra
-/// instances by the final update (guards against the suite silently testing
-/// nothing when a generator drifts out of the fragment).
-Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed = 0);
+/// (point-algebra backend for matching components) must produce exactly the
+/// per-update verdicts of the router-off automaton path and of the literal
+/// progression baseline, on every transaction of the case. On closed
+/// always-past sentences, past::PastMonitor run directly must agree too (its
+/// classical G-past verdict coincides with potential satisfaction there);
+/// `past_leg`, when given, reports whether that leg ran. When
+/// `min_routed > 0`, additionally fails unless the router-on monitor reports
+/// at least that many point-algebra instances by the final update (guards
+/// against the suite silently testing nothing when a generator drifts out of
+/// the fragment).
+Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed = 0,
+                                        bool* past_leg = nullptr);
 
 /// \brief Trigger duality (Section 2): the trigger for condition C fires at t
 /// for substitution theta iff !C(theta) is NOT potentially satisfied. Runs

@@ -343,10 +343,9 @@ TEST_F(AllocCountTest, SteadyStatePointAlgebraStepAllocatesNothing) {
 // domain must be heap-free.
 TEST_F(AllocCountTest, SteadyStatePastEvaluatorStepAllocatesNothing) {
   ASSERT_TRUE(testing::AllocCountingAvailable());
-  auto past = *fotl::Parse(fac_.get(), "forall x . G (Fill(x) -> O Sub(x))");
-  CheckOptions options;
-  options.router_force_past = true;
-  auto m = *Monitor::Create(fac_, past, {}, options);
+  // `G forall x` (no universal prefix): the default router's past route.
+  auto past = *fotl::Parse(fac_.get(), "G (forall x . (Fill(x) -> O Sub(x)))");
+  auto m = *Monitor::Create(fac_, past);
 
   ASSERT_TRUE(m->ApplyTransaction(Txn({1, 2, 3})).ok());
   ASSERT_TRUE(m->ApplyTransaction(Txn({}, {1, 2})).ok());

@@ -155,62 +155,77 @@ TEST_F(MonitorTest, HistoryAccessor) {
   EXPECT_EQ(m->last_verdict().time, 0u);
 }
 
-TEST_F(MonitorTest, HistoryLessModeMatchesEagerOnRandomStreams) {
-  // The history-less monitor (Section 6's open question, answered by renaming
-  // stand-in residuals) must produce verdicts identical to the replaying
-  // eager monitor — including across fresh-element arrivals and deletions.
+TEST_F(MonitorTest, CompactEveryUpdateMatchesNeverCompactedOnRandomStreams) {
+  // History-flat monitoring: a default monitor that compacts after every
+  // update keeps no stored word and catches fresh elements up from renamed
+  // stand-in patterns (Section 6's history-less question). Its verdicts must
+  // equal a never-compacted twin's — across fresh-element arrivals and
+  // deletions alike.
   for (fotl::Formula phi : {submit_once_, fifo_}) {
     for (int seed = 0; seed < 10; ++seed) {
       std::mt19937 rng(31337 + seed);
-      auto eager =
-          *Monitor::Create(fac_, phi, {}, {}, MonitorMode::kEager);
-      auto hless =
-          *Monitor::Create(fac_, phi, {}, {}, MonitorMode::kEagerHistoryLess);
+      auto twin = *Monitor::Create(fac_, phi);
+      auto flat = *Monitor::Create(fac_, phi);
       for (int step = 0; step < 7; ++step) {
         std::vector<Value> subs, fills, unsubs;
         if (rng() % 2) subs.push_back(1 + rng() % 4);
         if (rng() % 2) fills.push_back(1 + rng() % 4);
         if (rng() % 3 == 0) unsubs.push_back(1 + rng() % 4);
         Transaction txn = Txn(subs, fills, unsubs);
-        auto ve = eager->ApplyTransaction(txn);
-        auto vh = hless->ApplyTransaction(txn);
-        ASSERT_TRUE(ve.ok()) << ve.status().ToString();
-        ASSERT_TRUE(vh.ok()) << vh.status().ToString();
-        EXPECT_EQ(ve->potentially_satisfied, vh->potentially_satisfied)
+        auto vt = twin->ApplyTransaction(txn);
+        auto vf = flat->ApplyTransaction(txn);
+        ASSERT_TRUE(vt.ok()) << vt.status().ToString();
+        ASSERT_TRUE(vf.ok()) << vf.status().ToString();
+        EXPECT_EQ(vt->potentially_satisfied, vf->potentially_satisfied)
             << "seed " << seed << " step " << step;
-        EXPECT_EQ(ve->permanently_violated, vh->permanently_violated);
+        EXPECT_EQ(vt->permanently_violated, vf->permanently_violated);
+        EXPECT_EQ(vt->time, vf->time);
+        ASSERT_TRUE(flat->Compact().ok());
+        EXPECT_EQ(flat->history().length(), 1u);
       }
     }
   }
 }
 
-TEST_F(MonitorTest, HistoryLessFreshElementCatchUp) {
-  // Element 9 appears late; its instance must behave as if progressed through
-  // the whole history — but is derived purely by renaming.
-  auto m = *Monitor::Create(fac_, submit_once_, {}, {},
-                            MonitorMode::kEagerHistoryLess);
-  ASSERT_TRUE(m->ApplyTransaction(Txn({1}, {})).ok());
-  ASSERT_TRUE(m->ApplyTransaction(Txn({}, {}, {1})).ok());
-  auto v = m->ApplyTransaction(Txn({9}, {}));
-  ASSERT_TRUE(v.ok());
-  EXPECT_TRUE(v->potentially_satisfied);
+TEST_F(MonitorTest, CompactEveryUpdateFreshElementCatchUp) {
+  // Element 9 appears only after a fold; its instance must behave as if
+  // progressed through the whole history — but is derived purely by renaming
+  // the checkpoint's stand-in pattern.
+  auto twin = *Monitor::Create(fac_, submit_once_);
+  auto m = *Monitor::Create(fac_, submit_once_);
+  auto step = [&](const Transaction& txn) {
+    auto vt = twin->ApplyTransaction(txn);
+    auto v = m->ApplyTransaction(txn);
+    if (!vt.ok() || !v.ok()) {
+      ADD_FAILURE() << vt.status().ToString() << " / " << v.status().ToString();
+      return MonitorVerdict{};
+    }
+    EXPECT_EQ(vt->potentially_satisfied, v->potentially_satisfied);
+    EXPECT_EQ(vt->permanently_violated, v->permanently_violated);
+    EXPECT_TRUE(m->Compact().ok());
+    return *v;
+  };
+  step(Txn({1}, {}));
+  step(Txn({}, {}, {1}));
+  EXPECT_TRUE(step(Txn({9}, {})).potentially_satisfied);
   // Resubmitting 9 later is caught by the renamed instance.
-  ASSERT_TRUE(m->ApplyTransaction(Txn({}, {}, {9})).ok());
-  auto v2 = m->ApplyTransaction(Txn({9}, {}));
-  ASSERT_TRUE(v2.ok());
-  EXPECT_FALSE(v2->potentially_satisfied);
-  EXPECT_TRUE(v2->permanently_violated);
+  step(Txn({}, {}, {9}));
+  MonitorVerdict v2 = step(Txn({9}, {}));
+  EXPECT_FALSE(v2.potentially_satisfied);
+  EXPECT_TRUE(v2.permanently_violated);
+  EXPECT_EQ(v2.time, 4u);
+  EXPECT_EQ(m->time_base(), 4u);
 }
 
 TEST_F(MonitorTest, AllModesAgreeOnNewElementCatchUpViolation) {
   // A fresh element (2) arrives mid-stream, gets caught up through the
-  // history, and later violates submit-once. All three modes must agree on
-  // permanence at every step; lazy agrees here because the violation is
-  // present-detectable (progression alone collapses to false).
+  // history, and later violates submit-once. Eager, lazy and eager with a
+  // fold after every update must agree on permanence at every step; lazy
+  // agrees here because the violation is present-detectable (progression
+  // alone collapses to false).
   auto eager = *Monitor::Create(fac_, submit_once_, {}, {}, MonitorMode::kEager);
   auto lazy = *Monitor::Create(fac_, submit_once_, {}, {}, MonitorMode::kLazy);
-  auto hless = *Monitor::Create(fac_, submit_once_, {}, {},
-                                MonitorMode::kEagerHistoryLess);
+  auto flat = *Monitor::Create(fac_, submit_once_);
   std::vector<Transaction> txns = {
       Txn({1}, {}),         Txn({}, {}, {1}), Txn({2}, {}),
       Txn({}, {}, {2}),     Txn({2}, {}),  // resubmission: permanent violation
@@ -218,14 +233,15 @@ TEST_F(MonitorTest, AllModesAgreeOnNewElementCatchUpViolation) {
   for (size_t step = 0; step < txns.size(); ++step) {
     auto ve = eager->ApplyTransaction(txns[step]);
     auto vl = lazy->ApplyTransaction(txns[step]);
-    auto vh = hless->ApplyTransaction(txns[step]);
+    auto vf = flat->ApplyTransaction(txns[step]);
     ASSERT_TRUE(ve.ok()) << ve.status().ToString();
     ASSERT_TRUE(vl.ok()) << vl.status().ToString();
-    ASSERT_TRUE(vh.ok()) << vh.status().ToString();
+    ASSERT_TRUE(vf.ok()) << vf.status().ToString();
+    ASSERT_TRUE(flat->Compact().ok());
     EXPECT_EQ(ve->permanently_violated, step == 4) << "step " << step;
     EXPECT_EQ(vl->permanently_violated, ve->permanently_violated) << "step " << step;
-    EXPECT_EQ(vh->permanently_violated, ve->permanently_violated) << "step " << step;
-    EXPECT_EQ(vh->potentially_satisfied, ve->potentially_satisfied) << "step " << step;
+    EXPECT_EQ(vf->permanently_violated, ve->permanently_violated) << "step " << step;
+    EXPECT_EQ(vf->potentially_satisfied, ve->potentially_satisfied) << "step " << step;
   }
 }
 
@@ -233,15 +249,26 @@ TEST_F(MonitorTest, ParallelVerdictsMatchSequentialBitForBit) {
   // Progression is pure and the factory canonicalizes by content fingerprint,
   // so running residual classes on a pool must leave every verdict field —
   // including residual size and class counts — identical to sequential runs.
-  CheckOptions par;
-  par.threads = 4;
+  // The progression backend runs the pooled ProgressAll; compacting after
+  // every update also covers the pattern-renamed catch-up.
+  struct Config {
+    MonitorBackend backend;
+    bool compact;
+  };
+  const Config configs[] = {{MonitorBackend::kAutomaton, false},
+                            {MonitorBackend::kAutomaton, true},
+                            {MonitorBackend::kProgression, false},
+                            {MonitorBackend::kProgression, true}};
   for (fotl::Formula phi : {submit_once_, fifo_}) {
-    for (MonitorMode mode :
-         {MonitorMode::kEager, MonitorMode::kEagerHistoryLess}) {
+    for (const Config& cfg : configs) {
+      CheckOptions seq_opts;
+      seq_opts.backend = cfg.backend;
+      CheckOptions par = seq_opts;
+      par.threads = 4;
       for (int seed = 0; seed < 6; ++seed) {
         std::mt19937 rng(7000 + seed);
-        auto seq = *Monitor::Create(fac_, phi, {}, {}, mode);
-        auto parallel = *Monitor::Create(fac_, phi, {}, par, mode);
+        auto seq = *Monitor::Create(fac_, phi, {}, seq_opts);
+        auto parallel = *Monitor::Create(fac_, phi, {}, par);
         for (int step = 0; step < 7; ++step) {
           std::vector<Value> subs, fills, unsubs;
           if (rng() % 2) subs.push_back(1 + rng() % 4);
@@ -259,6 +286,10 @@ TEST_F(MonitorTest, ParallelVerdictsMatchSequentialBitForBit) {
               << "seed " << seed << " step " << step;
           EXPECT_EQ(vp->num_instances, vs->num_instances);
           EXPECT_EQ(vp->num_residual_classes, vs->num_residual_classes);
+          if (cfg.compact) {
+            ASSERT_TRUE(seq->Compact().ok());
+            ASSERT_TRUE(parallel->Compact().ok());
+          }
         }
       }
     }
@@ -349,15 +380,24 @@ TEST_F(MonitorTest, TableauStatsPerUpdateAndCumulative) {
   EXPECT_EQ(after->cumulative_tableau_stats.num_expansions, total);
 }
 
-TEST_F(MonitorTest, HistoryLessEarliestDetectionPreserved) {
-  // Same earliest-time semantics as kEager on the contradictory-obligation
-  // constraint from the integration tests.
+TEST_F(MonitorTest, CompactEveryUpdateEarliestDetectionPreserved) {
+  // Same earliest-time semantics as without folds on the
+  // contradictory-obligation constraint from the integration tests: the
+  // violation lands on the very update that submits a fresh element, after
+  // several folds.
   auto phi = *fotl::Parse(fac_.get(),
                           "forall x . G (Sub(x) -> (X Fill(x)) & (X !Fill(x)))");
-  auto m = *Monitor::Create(fac_, phi, {}, {}, MonitorMode::kEagerHistoryLess);
+  auto m = *Monitor::Create(fac_, phi);
+  for (int i = 0; i < 3; ++i) {
+    auto v = m->ApplyTransaction(Txn({}, {2}));
+    ASSERT_TRUE(v.ok());
+    EXPECT_TRUE(v->potentially_satisfied);
+    ASSERT_TRUE(m->Compact().ok());
+  }
   auto v = m->ApplyTransaction(Txn({1}, {}));
   ASSERT_TRUE(v.ok());
   EXPECT_FALSE(v->potentially_satisfied);  // earliest possible detection
+  EXPECT_EQ(v->time, 3u);
 }
 
 }  // namespace

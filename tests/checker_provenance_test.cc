@@ -133,8 +133,6 @@ TEST_F(ProvenanceTest, AllModesAndBackendsProduceADiagnosis) {
       {MonitorMode::kEager, MonitorBackend::kAutomaton, "eager/automaton"},
       {MonitorMode::kEager, MonitorBackend::kProgression, "eager/progression"},
       {MonitorMode::kLazy, MonitorBackend::kProgression, "lazy"},
-      {MonitorMode::kEagerHistoryLess, MonitorBackend::kAutomaton,
-       "historyless/automaton"},
   };
   for (const Config& cfg : configs) {
     CheckOptions options;
@@ -296,14 +294,6 @@ TEST(ProvenanceDifferentialTest, LazyModeWitnessesReplay) {
   int violated = 0;
   RunDifferentialFamily(0x51a7e003u, 100, MonitorMode::kLazy,
                         MonitorBackend::kProgression, /*cohorts=*/false,
-                        &violated);
-  EXPECT_GE(violated, 15);
-}
-
-TEST(ProvenanceDifferentialTest, HistoryLessModeWitnessesReplay) {
-  int violated = 0;
-  RunDifferentialFamily(0x51a7e004u, 100, MonitorMode::kEagerHistoryLess,
-                        MonitorBackend::kAutomaton, /*cohorts=*/true,
                         &violated);
   EXPECT_GE(violated, 15);
 }

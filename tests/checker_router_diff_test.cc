@@ -1,12 +1,12 @@
 // Differential fuzz suite for the tractable-fragment router: on randomly
 // generated constraints and update streams, the routed monitor (point-algebra
-// watched-literal backend for matching components, past evaluator where
-// forced) must produce exactly the per-update verdicts of the router-off
-// automaton path and of the literal progression baseline. The shared oracle
-// (testing/oracles.h) runs every case through four configurations —
-// progression reference, automaton with the router off, the router's default
-// configuration, and the router with the past route forced — and fails on
-// any sat/violated divergence.
+// watched-literal backend for matching components) must produce exactly the
+// per-update verdicts of the router-off automaton path and of the literal
+// progression baseline. The shared oracle (testing/oracles.h) runs every case
+// through three monitor configurations — progression reference, automaton
+// with the router off, and the router's default configuration — plus
+// past::PastMonitor itself on always-past sentences, and fails on any
+// sat/violated divergence.
 //
 // Three families:
 //   A. Random safe sentences (1 and 2 variables) over churn streams with a
@@ -22,8 +22,8 @@
 //      PointBackend — the oracle additionally fails if nothing routed.
 //   C. Pure-FO matrices under forall* G: the overlap fragment where the
 //      Theorem 4.2 potential-satisfaction verdict and the classical G-past
-//      verdict provably coincide, checked three ways (progression, automaton,
-//      forced past evaluator).
+//      verdict provably coincide, checked four ways (progression, automaton
+//      with and without the router, and the past evaluator run directly).
 //
 // Failure messages carry the full reproducer; re-run one case with
 // TIC_REPLAY_SEED=<c>.
@@ -46,8 +46,8 @@ namespace {
 namespace tt = tic::testing;
 
 void ExpectRouterConfigsAgree(const tt::FotlCase& kase, const std::string& label,
-                              size_t min_routed = 0) {
-  auto r = tt::RouterConfigsAgree(kase, min_routed);
+                              size_t min_routed = 0, bool* past_leg = nullptr) {
+  auto r = tt::RouterConfigsAgree(kase, min_routed, past_leg);
   ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString()
                       << "\nreproducer:\n" << tt::SerializeCase(kase);
   ASSERT_TRUE(r->pass) << label << ": " << r->detail;
@@ -84,11 +84,11 @@ TEST(RouterDiffTest, QtcnCasesRouteAndAgree) {
   }
 }
 
-TEST(RouterDiffTest, PureFoMatricesAgreeWithForcedPastRoute) {
+TEST(RouterDiffTest, PureFoMatricesAgreeWithPastEvaluator) {
   // Family C: 300 pure-FO matrices (And/Or/Implies/Not over literals, no
   // temporal operator) under forall* G — always-past sentences, so the
-  // force-past configuration inside the oracle actually takes the past
-  // route, and its classical verdict must match potential satisfaction.
+  // oracle's past::PastMonitor leg runs, and its classical verdict must
+  // match potential satisfaction.
   constexpr int kCases = 300;
   auto replay = tt::ReplaySeedFromEnv();
   for (int c = 0; c < kCases; ++c) {
@@ -121,23 +121,16 @@ TEST(RouterDiffTest, PureFoMatricesAgreeWithForcedPastRoute) {
       stream.push_back(tt::ChurnTxn(&ent, builder.preds(), universe));
     }
     tt::FotlCase kase = builder.Finish(phi, num_vars, std::move(stream));
-    ExpectRouterConfigsAgree(kase, "caseC#" + std::to_string(c));
+    bool past_leg = false;
+    ExpectRouterConfigsAgree(kase, "caseC#" + std::to_string(c), 0, &past_leg);
 
-    // The force-past configuration must actually take the past route on this
-    // family (the oracle only checks verdicts, not the backend) — except when
-    // the matrix constant-folded away, leaving no G to route.
+    // The past-evaluator leg must actually run on this family — except when
+    // the matrix constant-folded away, leaving no G to check.
     if (kase.sentence->kind() == fotl::NodeKind::kTrue ||
         kase.sentence->kind() == fotl::NodeKind::kFalse) {
       continue;
     }
-    CheckOptions fp;
-    fp.router_force_past = true;
-    auto m = Monitor::Create(kase.factory, kase.sentence, {}, fp);
-    ASSERT_TRUE(m.ok()) << m.status().ToString();
-    auto v = (*m)->ApplyTransaction(kase.stream[0]);
-    ASSERT_TRUE(v.ok()) << v.status().ToString();
-    EXPECT_EQ(v->backend, MonitorBackend::kPastStateless)
-        << "caseC#" << c << " did not take the past route";
+    EXPECT_TRUE(past_leg) << "caseC#" << c << " skipped the past-evaluator leg";
   }
 }
 

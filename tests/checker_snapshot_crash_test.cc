@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,20 +56,18 @@ std::string UniversalBlob() {
 }
 
 // A past-route snapshot (kSecPast populated instead of the universal set).
+// Spelled `G forall x` so the default router takes the past route.
 std::string PastBlob() {
   tt::CaseBuilder builder(2);
   fotl::FormulaFactory& fac = *builder.factory();
   tt::Entropy ent(0x5eedu);
   fotl::Formula matrix =
       fac.Implies(builder.Lit(&ent, 1), builder.LitConj(&ent, 1));
-  fotl::Formula phi = builder.Quantify(fac.Always(matrix), 1);
-  CheckOptions opts;
-  opts.router_force_past = true;
-  auto m = *Monitor::Create(builder.factory(), phi, {}, opts);
+  fotl::Formula phi = fac.Always(builder.Quantify(matrix, 1));
+  auto m = *Monitor::Create(builder.factory(), phi);
   for (int t = 0; t < 5; ++t) {
-    EXPECT_TRUE(
-        m->ApplyTransaction(tt::ChurnTxn(&ent, builder.preds(), {1, 2, 3}))
-            .ok());
+    auto v = m->ApplyTransaction(tt::ChurnTxn(&ent, builder.preds(), {1, 2, 3}));
+    EXPECT_TRUE(v.ok() && v->backend == MonitorBackend::kPastStateless);
   }
   return *MonitorCheckpoint::Serialize(*m);
 }
@@ -89,6 +88,30 @@ std::vector<size_t> SectionBoundaries(const std::string& blob) {
     std::memcpy(&len, blob.data() + off + 4, 8);
     off += 12 + static_cast<size_t>(len) + 4;
     out.push_back(off);
+  }
+  return out;
+}
+
+// Applies `edit` to the kSecMeta payload in place and rewrites that section's
+// CRC, so the mutant passes container parsing and only a field check inside
+// Restore can reject it.
+std::string EditMeta(const std::string& blob,
+                     const std::function<void(char* payload)>& edit) {
+  std::string out = blob;
+  size_t off = 9 + 4 + 4 + 4;
+  while (off + 12 <= out.size()) {
+    uint32_t id = 0;
+    uint64_t len = 0;
+    std::memcpy(&id, out.data() + off, 4);
+    std::memcpy(&len, out.data() + off + 4, 8);
+    char* payload = out.data() + off + 12;
+    if (id == snapshot::kSecMeta) {
+      edit(payload);
+      uint32_t crc = snapshot::Crc32(payload, static_cast<size_t>(len));
+      std::memcpy(payload + len, &crc, 4);
+      break;
+    }
+    off += 12 + static_cast<size_t>(len) + 4;
   }
   return out;
 }
@@ -209,6 +232,34 @@ TEST_P(SnapshotCrashTest, CrossRouteSectionInjection) {
   nsections += 1;
   std::memcpy(mutant.data() + 17, &nsections, 4);
   ExpectFailsClosed(mutant, Route() + " cross-route section graft");
+}
+
+TEST_P(SnapshotCrashTest, RetiredMetaFieldsFailClosed) {
+  // Meta prefix layout: state_version u32 | backend u8 | mode u8 |
+  // option_flags u32 | ... The retired history-less mode (byte 2) and the
+  // retired force-past option (flag bit 2) must be rejected, not ignored.
+  constexpr size_t kModeOffset = 5;
+  constexpr size_t kFlagsOffset = 6;
+  std::string blob = Blob();
+  // The re-CRC helper alone yields a snapshot Restore accepts.
+  ASSERT_TRUE(MonitorCheckpoint::Restore(EditMeta(blob, [](char*) {})).ok());
+
+  auto mode_mutant = EditMeta(blob, [](char* p) { p[kModeOffset] = 2; });
+  auto r = MonitorCheckpoint::Restore(mode_mutant);
+  ASSERT_FALSE(r.ok()) << Route() << ": retired mode byte accepted";
+  EXPECT_NE(r.status().ToString().find("mode byte"), std::string::npos)
+      << r.status().ToString();
+
+  auto flag_mutant = EditMeta(blob, [](char* p) {
+    uint32_t flags = 0;
+    std::memcpy(&flags, p + kFlagsOffset, 4);
+    flags |= 1u << 2;
+    std::memcpy(p + kFlagsOffset, &flags, 4);
+  });
+  r = MonitorCheckpoint::Restore(flag_mutant);
+  ASSERT_FALSE(r.ok()) << Route() << ": retired option flag accepted";
+  EXPECT_NE(r.status().ToString().find("option flag"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_P(SnapshotCrashTest, GarbageAndEmptyInputs) {

@@ -18,7 +18,7 @@
 //   B: 250  automaton backend, cohort stepping off
 //   C: 200  progression backend
 //   D: 150  QTCN / point-algebra route (router on, default)
-//   E: 100  past-stateless route (router_force_past)
+//   E: 100  past-stateless route (`G forall x` spelling, default router)
 // plus a metamorphic compaction oracle: compact-at-every-k verdicts equal
 // the never-compacted reference, and snapshot/restore of the compacted twin
 // stays equivalent.
@@ -149,6 +149,20 @@ void ExpectEquivalent(const tt::FotlCase& kase, const CheckOptions& options,
                       << tt::SerializeCase(kase);
 }
 
+// Asserts that the default router sends `kase` to the past evaluator, so a
+// past-route family cannot silently drift onto the universal path.
+void ExpectPastRoute(const tt::FotlCase& kase, uint64_t seed,
+                     const char* family) {
+  auto m = Monitor::Create(kase.factory, kase.sentence);
+  ASSERT_TRUE(m.ok()) << family << " seed " << seed << ": "
+                      << m.status().ToString();
+  auto v = (*m)->ApplyTransaction(kase.stream[0]);
+  ASSERT_TRUE(v.ok()) << family << " seed " << seed << ": "
+                      << v.status().ToString();
+  ASSERT_EQ(v->backend, MonitorBackend::kPastStateless)
+      << family << " seed " << seed << " left the past route";
+}
+
 // ---------------------------------------------------------------------------
 // Family A: automaton backend, cohorts on (the default production config).
 // ---------------------------------------------------------------------------
@@ -213,8 +227,9 @@ TEST(SnapshotDiff, FamilyD_PointAlgebra) {
 }
 
 // ---------------------------------------------------------------------------
-// Family E: past-stateless route (forced). Pure-FO matrix under a
-// forall-prefixed G, streamed over a small churning universe.
+// Family E: past-stateless route. Pure-FO matrix under `G forall`, which the
+// default router sends to the past evaluator, streamed over a small churning
+// universe.
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, FamilyE_PastRoute) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
@@ -244,7 +259,7 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
       }
     };
     fotl::Formula matrix = gen(2 + ent.Below(2));
-    fotl::Formula phi = builder.Quantify(fac.Always(matrix), num_vars);
+    fotl::Formula phi = fac.Always(builder.Quantify(matrix, num_vars));
     if (phi->kind() == fotl::NodeKind::kTrue ||
         phi->kind() == fotl::NodeKind::kFalse) {
       continue;  // constant-folded: nothing to monitor
@@ -259,9 +274,8 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
     }
     tt::FotlCase kase = builder.Finish(phi, num_vars, std::move(stream));
 
-    CheckOptions options;
-    options.router_force_past = true;
-    ExpectEquivalent(kase, options, seed, "E/past-route");
+    ExpectPastRoute(kase, seed, "E/past-route");
+    ExpectEquivalent(kase, CheckOptions{}, seed, "E/past-route");
     ++ran;
   }
   if (!replay) {
@@ -302,7 +316,7 @@ TEST(SnapshotDiff, MetamorphicCompactPastRoute) {
     fotl::FormulaFactory& fac = *builder.factory();
     fotl::Formula matrix =
         fac.Implies(builder.LitConj(&ent, 1), builder.Lit(&ent, 1));
-    fotl::Formula phi = builder.Quantify(fac.Always(matrix), 1);
+    fotl::Formula phi = fac.Always(builder.Quantify(matrix, 1));
     if (phi->kind() == fotl::NodeKind::kTrue ||
         phi->kind() == fotl::NodeKind::kFalse) {
       continue;
@@ -312,9 +326,9 @@ TEST(SnapshotDiff, MetamorphicCompactPastRoute) {
       stream.push_back(tt::ChurnTxn(&ent, builder.preds(), {1, 2, 3}));
     }
     tt::FotlCase kase = builder.Finish(phi, 1, std::move(stream));
-    CheckOptions options;
-    options.router_force_past = true;
-    ExpectEquivalent(kase, options, seed, "M/compact-past", /*compact_every=*/2);
+    ExpectPastRoute(kase, seed, "M/compact-past");
+    ExpectEquivalent(kase, CheckOptions{}, seed, "M/compact-past",
+                     /*compact_every=*/2);
     ++ran;
   }
 }

@@ -283,18 +283,15 @@ TEST_F(SnapshotTest, CompactThenSnapshotThenRestoreContinues) {
 }
 
 TEST_F(SnapshotTest, PastRouteRoundTripAndCompact) {
-  // Proposition 2.1 shape: closed forall-prefix over G(past matrix) — forced
-  // onto the past evaluator (the default router only takes non-universal
-  // sentences there).
+  // Proposition 2.1 shape spelled `G forall x` (no universal prefix), which
+  // the default router sends to the past evaluator.
   fotl::VarId x = fac_->InternVar("x");
   fotl::Formula matrix =
       fac_->Implies(*fac_->Atom(fill_, {fotl::Term::Var(x)}),
                     fac_->Once(*fac_->Atom(sub_, {fotl::Term::Var(x)})));
-  fotl::Formula phi = fac_->Forall(x, fac_->Always(matrix));
-  CheckOptions opts;
-  opts.router_force_past = true;
-  auto original = *Monitor::Create(fac_, phi, {}, opts);
-  auto reference = *Monitor::Create(fac_, phi, {}, opts);
+  fotl::Formula phi = fac_->Always(fac_->Forall(x, matrix));
+  auto original = *Monitor::Create(fac_, phi);
+  auto reference = *Monitor::Create(fac_, phi);
   ASSERT_TRUE(original->ApplyTransaction(Txn({1})).ok());
   ASSERT_TRUE(reference->ApplyTransaction(Txn({1})).ok());
   ASSERT_TRUE(original->ApplyTransaction(Txn({2}, {1})).ok());
