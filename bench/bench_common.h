@@ -194,8 +194,18 @@ inline std::vector<bool> ParseRouter(int* argc, char** argv,
   return (out.empty() || !valid) ? fallback : out;
 }
 
-// Reporter for --json=<path>: the normal console table, plus a record file
-// written to `path` on exit —
+// A run that produced no valid measurement is a failure, not a vacuous pass:
+// smoke gates must not go silently empty. Prints `why` and returns the exit
+// code (1) when `valid` is zero, 0 otherwise.
+inline int RequireMeasurements(size_t valid, const char* why) {
+  if (valid > 0) return 0;
+  std::fprintf(stderr, "%s\n", why);
+  return 1;
+}
+
+// Reporter for every bench run: the normal console table, one flat record
+// per valid (not SkipWithError) measurement, and — for --json=<path> — a
+// record file written to `path` on exit —
 // `{"meta": {git_sha, build_type, telemetry, ..., recorder}, "records":
 // [{"name": ...,
 // "params": ..., "ns_per_op": ..., "counters": {...}}, ...], "telemetry":
@@ -237,8 +247,11 @@ class JsonRecordReporter : public benchmark::ConsoleReporter {
     }
   }
 
+  size_t num_records() const { return records_.size(); }
+
   void Finalize() override {
     benchmark::ConsoleReporter::Finalize();
+    if (path_.empty()) return;
     std::FILE* f = std::fopen(path_.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open --json path %s\n", path_.c_str());
@@ -297,10 +310,14 @@ inline int RunBenchmarks(int* argc, char** argv) {
   std::string trace_path;
   std::string recorder_dump_path;
   bool telemetry_on = false;
+  bool listing = false;  // --benchmark_list_tests measures nothing by design
   {
     std::vector<char*> keep;
     for (int i = 0; i < *argc; ++i) {
       std::string a = argv[i];
+      if (a.rfind("--benchmark_list_tests", 0) == 0) {
+        listing = a != "--benchmark_list_tests=false";
+      }
       if (a.rfind("--json=", 0) == 0) {
         json_path = a.substr(7);
       } else if (a.rfind("--trace=", 0) == 0) {
@@ -334,18 +351,12 @@ inline int RunBenchmarks(int* argc, char** argv) {
 
   benchmark::Initialize(argc, argv);
   if (benchmark::ReportUnrecognizedArguments(*argc, argv)) return 1;
-  size_t ran = 0;
-  if (json_path.empty()) {
-    ran = benchmark::RunSpecifiedBenchmarks();
-  } else {
-    JsonRecordReporter reporter(std::move(json_path));
-    ran = benchmark::RunSpecifiedBenchmarks(&reporter);
-  }
+  JsonRecordReporter reporter(std::move(json_path));
+  size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  // A run that measured nothing (a --benchmark_filter matching no benchmark)
-  // is a failure, not a vacuous pass: smoke gates must not go silently empty.
-  if (ran == 0) {
-    std::fprintf(stderr, "no benchmark matched the filter; nothing ran\n");
+  if (RequireMeasurements(ran, "no benchmark matched the filter; nothing ran") ||
+      RequireMeasurements(listing ? ran : reporter.num_records(),
+                          "every benchmark run errored; no valid record")) {
     return 1;
   }
 

@@ -179,6 +179,14 @@ void BM_StdUnorderedMap_StringWarmHits(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// Canary of RunBenchmarks' zero-record gate: it always errors, so a run
+// selecting only it must exit non-zero (bench_smoke_all_errored_fails).
+void BM_Gate_AlwaysErrors(benchmark::State& state) {
+  state.SkipWithError("deliberate error: zero-record gate canary");
+  for (auto _ : state) {
+  }
+}
+
 BENCHMARK(BM_FlatMap_WarmHits)->RangeMultiplier(4)->Range(16, 4096);
 BENCHMARK(BM_StdUnorderedMap_WarmHits)->RangeMultiplier(4)->Range(16, 4096);
 BENCHMARK(BM_FlatMap_Misses)->RangeMultiplier(4)->Range(16, 4096);
@@ -187,6 +195,7 @@ BENCHMARK(BM_FlatSet_ScratchCycle)->RangeMultiplier(4)->Range(16, 1024);
 BENCHMARK(BM_StdUnorderedSet_ScratchCycle)->RangeMultiplier(4)->Range(16, 1024);
 BENCHMARK(BM_FlatMap_StringWarmHits)->RangeMultiplier(4)->Range(16, 1024);
 BENCHMARK(BM_StdUnorderedMap_StringWarmHits)->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK(BM_Gate_AlwaysErrors);
 
 }  // namespace
 }  // namespace tic

@@ -134,7 +134,14 @@ int Run(const std::string& scenario_name, int phases, int iters,
 
   std::vector<double> deltas;
   for (size_t i = 0; i < ns_off.size() && i < ns_on.size(); ++i) {
-    deltas.push_back(100.0 * (ns_on[i] - ns_off[i]) / ns_off[i]);
+    // A phase too short for the clock measures nothing: no valid pair.
+    if (ns_off[i] > 0 && ns_on[i] > 0) {
+      deltas.push_back(100.0 * (ns_on[i] - ns_off[i]) / ns_off[i]);
+    }
+  }
+  if (bench::RequireMeasurements(deltas.size(),
+                                 "no phase pair measured a valid delta")) {
+    return 1;
   }
   std::printf("raw off:");
   for (double x : ns_off) std::printf(" %.1f", x);

@@ -418,6 +418,13 @@ Result<past::PastMonitor::StateImage> DecodePastImage(snap::ByteReader* r) {
 
 Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   TIC_SPAN("checkpoint.serialize");
+  if (!m.binding_.empty()) {
+    // The constraint section holds a sentence; the meta has no field for
+    // the values of a bound monitor's free variables.
+    return Status::NotSupported(
+        "snapshot: a monitor with bound free variables has no TICSNAP01 "
+        "encoding");
+  }
   snap::SnapshotWriter w;
 
   const bool past_route = m.past_ != nullptr;

@@ -58,6 +58,7 @@ class MonitorCheckpoint {
   /// changes shape; the container version covers only the envelope).
   static constexpr uint32_t kStateVersion = 1;
 
+  /// NotSupported for a monitor created with a non-empty binding.
   static Result<std::string> Serialize(const Monitor& monitor);
 
   static Result<std::unique_ptr<Monitor>> Restore(

@@ -1,7 +1,5 @@
 #include "checker/extension.h"
 
-#include <algorithm>
-
 #include "common/telemetry/telemetry.h"
 #include "ptl/progress.h"
 #include "ptl/safety.h"
@@ -27,68 +25,6 @@ Result<CheckResult> CheckPotentialSatisfaction(
     return Status::NotSupported(
         "constraint is not syntactically safe; Section 4's algorithm is only "
         "sound for safety sentences (set require_safety=false to experiment)");
-  }
-
-  // Automaton backend: when no witness is wanted, run the compiled transition
-  // system over w_D instead of progression + CheckSat — per-letter verdicts
-  // are identical (TransitionSystem's Lemma 4.2 correspondence), and in eager
-  // mode !potentially_satisfied is always permanent for safety sentences,
-  // matching the progression path's verdict mapping below.
-  if (options.backend == MonitorBackend::kAutomaton && !options.want_witness) {
-    TIC_SPAN("check.automaton_run");
-    // Compile under a clamped budget: the determinized cover of a joint
-    // grounding is the product of the per-instance covers, so a multi-instance
-    // phi_D can be exponentially larger than anything CheckSat's lazy DFS ever
-    // visits. When the cover is tractable (single-pattern formulas — the
-    // trigger substitution sweeps this path exists for) the compiled system is
-    // reused across renamings; when it is not, fall through to progression
-    // below rather than failing the check.
-    ptl::TableauOptions compile_opts = options.tableau;
-    compile_opts.max_states = std::min(compile_opts.max_states, size_t{1} << 16);
-    compile_opts.max_expansions =
-        std::min(compile_opts.max_expansions, size_t{1} << 18);
-    Result<ptl::AutomatonHandle> compiled = [&]() -> Result<ptl::AutomatonHandle> {
-      if (options.automaton_cache != nullptr) {
-        // Pass the owning factory: the cached system outlives this check's
-        // grounding and lazily dereferences closure nodes on later hits.
-        return options.automaton_cache->Get(g.prop_factory, g.phi_d,
-                                            compile_opts);
-      }
-      TIC_ASSIGN_OR_RETURN(std::shared_ptr<ptl::TransitionSystem> ts,
-                           ptl::TransitionSystem::Compile(pf, g.phi_d, compile_opts));
-      return ptl::AutomatonHandle{ts, ts->default_letters()};
-    }();
-    if (!compiled.ok() && !compiled.status().IsResourceExhausted()) {
-      return compiled.status();
-    }
-    if (compiled.ok()) {
-      const ptl::AutomatonHandle& handle = *compiled;
-      uint32_t set = handle.ts->initial();
-      bool live = false;
-      bool exhausted = false;
-      if (g.word.empty()) {
-        TIC_ASSIGN_OR_RETURN(live, handle.ts->Live(set));
-      }
-      for (const ptl::PropState& w : g.word) {
-        Result<ptl::TransitionStep> step = handle.ts->Step(set, w, handle.letters);
-        if (!step.ok()) {
-          if (step.status().IsResourceExhausted()) {
-            exhausted = true;  // lazy-mode expansion blew the clamped budget
-            break;
-          }
-          return step.status();
-        }
-        set = step->next;
-        live = step->live;
-      }
-      if (!exhausted) {
-        result.residual_size = g.phi_d->size();
-        result.potentially_satisfied = live;
-        result.permanently_violated = !live;
-        return result;
-      }
-    }
-    TIC_COUNTER_ADD("automaton/compile_fallbacks", 1);
   }
 
   // Lemma 4.2 phase 1: deterministic rewriting through w_D.

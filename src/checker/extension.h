@@ -20,33 +20,26 @@
 namespace tic {
 namespace checker {
 
-/// \brief Which per-update decision engine the monitor (and the batch checker
-/// when no witness is requested) runs.
+/// \brief Which per-update decision engine the monitor runs. (The batch
+/// CheckPotentialSatisfaction always runs the literal two-phase procedure.)
 enum class MonitorBackend {
   /// Lemma 4.2 taken literally: rewrite every residual through the new state
   /// (`ptl::Progress`), then re-run the tableau satisfiability check on the
   /// residual conjunction from scratch. Always available; produces witnesses.
   kProgression,
-  /// Compile-once / memoize-everything automaton. Two cooperating machines,
-  /// both advancing by one memoized `(state id, letter signature) -> state id`
-  /// lookup per update instead of per-update rewriting + CheckSat:
-  ///  - The *monitor* runs the residual-graph automaton of the joint grounded
-  ///    conjunction: states are hash-consed residuals, liveness is decided
-  ///    once per state (via the shared verdict cache), and recurring database
-  ///    states never touch a formula or a tableau again. (The determinized
-  ///    closure-state cover of a joint conjunction is the product of the
-  ///    per-instance covers — exponential in the instance count — so it is
-  ///    not compiled eagerly.)
-  ///  - Batch checks and trigger substitution sweeps compile phi_D into a
-  ///    closure-bitset ptl::TransitionSystem with precomputed liveness, shared
-  ///    across letter renamings through the AutomatonCache; compilation runs
-  ///    under a clamped budget and falls back to progression when the cover
-  ///    blows up (multi-instance groundings).
-  /// Verdict-equivalent to kProgression. Effective for MonitorMode::kEager
-  /// and for batch checks with `want_witness == false`; kLazy monitors and
-  /// witness-producing checks fall back to kProgression (kLazy's weak
-  /// verdicts are progression-specific, and witness decoding needs the
-  /// residual formula).
+  /// Compile-once / memoize-everything: the monitor runs the residual-graph
+  /// automaton of the joint grounded conjunction, advancing by one memoized
+  /// `(state id, letter signature) -> state id` lookup per update instead of
+  /// per-update rewriting + CheckSat. States are hash-consed residuals,
+  /// liveness is decided once per state (via the shared verdict cache), and
+  /// recurring database states never touch a formula or a tableau again.
+  /// (The determinized closure-state cover of a joint conjunction is the
+  /// product of the per-instance covers — exponential in the instance count —
+  /// so it is not compiled eagerly; letter-disjoint instances instead step as
+  /// cohorts over closure-bitset ptl::TransitionSystems, see
+  /// CheckOptions::cohort_stepping.) Verdict-equivalent to kProgression.
+  /// Effective for MonitorMode::kEager; kLazy monitors fall back to
+  /// kProgression (kLazy's weak verdicts are progression-specific).
   kAutomaton,
   /// The tableau-free past evaluator (past::PastMonitor), selected by the
   /// fragment router for closed `G A` constraints with A a past formula and
@@ -87,21 +80,20 @@ struct CheckOptions {
   /// Produce a decoded witness extension when the answer is YES.
   bool want_witness = true;
 
-  /// Per-update engine; see MonitorBackend. The automaton backend is the
-  /// default: it is verdict-equivalent and amortizes the tableau into a
-  /// one-time compile. Select kProgression to force the literal two-phase
-  /// procedure (and for witness-producing paths, which use it regardless).
+  /// Per-update engine of Monitor (and of TriggerManager's per-substitution
+  /// monitors); see MonitorBackend. The automaton backend is the default: it
+  /// is verdict-equivalent and amortizes the tableau into a one-time compile.
+  /// Select kProgression to force the literal two-phase procedure.
   MonitorBackend backend = MonitorBackend::kAutomaton;
   /// Shared LRU cache of compiled transition systems (keyed by the
-  /// renaming-invariant canonical form, like the verdict cache). Used by the
-  /// batch/trigger automaton path; when null and the automaton backend is
-  /// selected, TriggerManager defaults one. Inject an instance here to share
-  /// compiled automata — and their transition memos — across trigger managers
-  /// and batch checks. The Monitor's cohort path also compiles through this
-  /// cache (per-instance residuals are letter-renamings of one another, so
-  /// symmetric instances land on one shared TransitionSystem); when null and
-  /// cohort stepping is on, Monitor defaults a private instance. The joint
-  /// residual graph remains per-monitor state.
+  /// renaming-invariant canonical form, like the verdict cache). The
+  /// Monitor's cohort path compiles through it: per-instance residuals are
+  /// letter-renamings of one another, so symmetric instances land on one
+  /// shared TransitionSystem. When null and cohort stepping is on, Monitor
+  /// defaults a private instance; TriggerManager defaults one that all its
+  /// per-substitution monitors share. Inject an instance here to share
+  /// compiled automata — and their transition memos — across monitors and
+  /// trigger managers. The joint residual graph remains per-monitor state.
   std::shared_ptr<ptl::AutomatonCache> automaton_cache;
 
   /// Tractable-fragment router (default on). A static classifier in front of
@@ -141,16 +133,18 @@ struct CheckOptions {
   /// dense cohort tables small on long heterogeneous histories.
   uint32_t cohort_minimize_interval = 24;
 
-  /// Degree of parallelism for the per-update hot paths (Monitor residual
-  /// progression, TriggerManager substitution sweeps). 1 = fully sequential.
+  /// Degree of parallelism for Monitor's residual progression (the
+  /// progression backend's per-class rewrites). 1 = fully sequential.
   /// Parallelism is verdict-invariant: progression is a pure function of the
   /// residual and the new state, so the same residuals come out in any
-  /// schedule.
+  /// schedule. TriggerManager steps its per-substitution monitors one after
+  /// another; the pool only parallelizes inside each of them.
   size_t threads = 1;
   /// Worker pool backing `threads`. When null and threads > 1, Monitor /
   /// TriggerManager construct a private pool with threads - 1 workers (the
-  /// calling thread participates in every ParallelFor). Inject one instance
-  /// here to share workers across monitors and trigger managers.
+  /// calling thread participates in every ParallelFor); a TriggerManager's
+  /// pool serves all its per-substitution monitors. Inject one instance here
+  /// to share workers across monitors and trigger managers.
   std::shared_ptr<ThreadPool> thread_pool;
 
   /// When set, Monitor::Create installs this sink as the process-wide

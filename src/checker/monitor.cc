@@ -45,9 +45,10 @@ size_t Monitor::LetterKeyHash::operator()(const LetterKey& k) const {
 
 Monitor::Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory,
                  fotl::Formula phi, History history, CheckOptions options,
-                 MonitorMode mode)
+                 MonitorMode mode, fotl::Valuation binding)
     : ffac_(std::move(fotl_factory)),
       phi_(phi),
+      binding_(std::move(binding)),
       options_(options),
       mode_(mode),
       history_(std::move(history)),
@@ -58,7 +59,8 @@ Monitor::Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory,
 
 Result<std::unique_ptr<Monitor>> Monitor::Create(
     std::shared_ptr<fotl::FormulaFactory> fotl_factory, fotl::Formula phi,
-    std::vector<Value> constant_interp, CheckOptions options, MonitorMode mode) {
+    std::vector<Value> constant_interp, CheckOptions options, MonitorMode mode,
+    fotl::Valuation binding) {
   fotl::Classification c = fotl::Classify(phi);
   // Tractable-fragment router, past route (Proposition 2.1): a closed `G A`
   // with A a past formula runs entirely on the history-less past evaluator —
@@ -91,13 +93,17 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
     return Status::NotSupported(
         "Monitor requires a universal sentence (forall* tense(Sigma_0))");
   }
-  if (!c.closed) {
-    return Status::InvalidArgument("Monitor requires a sentence (no free variables)");
+  for (fotl::VarId v : phi->free_vars()) {
+    if (binding.count(v) == 0) {
+      return Status::InvalidArgument(
+          "Monitor requires a sentence (no free variables outside the binding)");
+    }
   }
   TIC_ASSIGN_OR_RETURN(
       History h, History::Create(fotl_factory->vocabulary(), std::move(constant_interp)));
-  std::unique_ptr<Monitor> m(
-      new Monitor(std::move(fotl_factory), phi, std::move(h), options, mode));
+  std::unique_ptr<Monitor> m(new Monitor(std::move(fotl_factory), phi,
+                                         std::move(h), options, mode,
+                                         std::move(binding)));
   // Default the shared verdict cache and worker pool: callers inject their own
   // instances through CheckOptions to share them across monitors and trigger
   // managers.
@@ -225,8 +231,16 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
     }
   }
 
-  // Instances over the initial M (constants only, plus the z's).
+  // Instances over the initial M (constants and bound values, plus the z's).
+  // Bound values join R_D from the start, exactly as GroundUniversal adds
+  // them: a bound element must never be mistaken for a fresh arrival.
   std::vector<Value> relevant = m->history_.RelevantSet();
+  for (const auto& [var, value] : m->binding_) {
+    (void)var;
+    relevant.push_back(value);
+  }
+  std::sort(relevant.begin(), relevant.end());
+  relevant.erase(std::unique(relevant.begin(), relevant.end()), relevant.end());
   m->known_relevant_ = relevant;
   std::vector<GroundElem> domain;
   for (Value v : relevant) domain.push_back(GroundElem::Relevant(v));
@@ -286,6 +300,7 @@ Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assign
   using fotl::NodeKind;
   const size_t num_real_z = external_.size();
   std::unordered_map<fotl::VarId, GroundElem> env;
+  for (const auto& [var, value] : binding_) env[var] = GroundElem::Relevant(value);
   for (size_t i = 0; i < external_.size(); ++i) env[external_[i]] = assignment[i];
 
   ptl::Factory* pf = prop_factory_.get();
@@ -543,12 +558,11 @@ Result<ptl::Formula> Monitor::CatchUpBasis(
     unknown_to_z.emplace(e.code, z);
     e = z;
   }
-  if (unknown_to_z.empty()) {
+  if (unknown_to_z.empty() && backend_ == MonitorBackend::kAutomaton) {
     // Fully known at the fold: this is an existing instance, whose stored
     // formula already sits at the checkpoint basis in automaton mode (Compact
-    // rebased it). Progression-mode residuals run ahead of the checkpoint,
-    // but this path only serves provenance replay there — verdicts never
-    // depend on it.
+    // rebased it). Progression-mode residuals run ahead of the checkpoint;
+    // Compact recorded their checkpoint residuals as patterns instead.
     const size_t* idx = instance_index_.Get(pattern);
     if (idx == nullptr) {
       return Status::Internal("compaction catch-up: known instance missing");
@@ -659,8 +673,17 @@ Status Monitor::Compact() {
         }
         inst.residual = it->second;
       }
+    } else {
+      // Progression-mode residuals already sit at "now" and keep running
+      // ahead of it. Record each one as its own checkpoint pattern (no kept
+      // stand-in), so provenance can still replay an instance from the fold.
+      for (const Instance& inst : instances_) {
+        compact_pattern_index_.Emplace(inst.assignment,
+                                       compact_patterns_.size());
+        compact_patterns_.push_back(
+            CompactPattern{inst.assignment, inst.residual});
+      }
     }
-    // Progression-mode residuals already sit at "now" — nothing to rebase.
   } else {
     // A dead monitor reports permanently_violated forever without touching
     // residuals: no patterns needed.
@@ -1741,12 +1764,16 @@ void Monitor::CaptureDelta(Diagnosis* d) const {
   }
 }
 
-Status Monitor::BuildTrajectory(ptl::Formula grounded, Diagnosis* d,
+Status Monitor::BuildTrajectory(ptl::Formula basis, Diagnosis* d,
                                 ptl::PropState* fatal_w) {
   ptl::Factory* pf = prop_factory_.get();
-  ptl::Formula cur = grounded;
+  ptl::Formula cur = basis;
   ptl::Formula prev = nullptr;
-  size_t time = 0;
+  // Absolute instant of the word's first letter: the word ends at the
+  // current state, whatever Compact() folded before it.
+  size_t word_length = 0;
+  for (const WordEntry& e : word_) word_length += e.repeat;
+  size_t time = time_base_ + history_.length() - word_length;
   auto push = [&](size_t tm, ptl::Formula f) {
     if (d->trajectory.size() == kTrajectoryK) {
       d->trajectory.erase(d->trajectory.begin());
@@ -1805,8 +1832,11 @@ Result<Diagnosis> Monitor::DiagnoseInstance(uint32_t idx, size_t t,
     d.assignment_text += d.assignment[i].ToString();
   }
   TIC_ASSIGN_OR_RETURN(d.grounded, GroundMatrix(inst.assignment));
+  // Replay from the start of the stored word, not from the grounding: after
+  // a fold the word no longer begins at t = 0.
+  TIC_ASSIGN_OR_RETURN(ptl::Formula basis, CatchUpBasis(inst.assignment));
   ptl::PropState fatal_w = w;
-  TIC_RETURN_NOT_OK(BuildTrajectory(d.grounded, &d, &fatal_w));
+  TIC_RETURN_NOT_OK(BuildTrajectory(basis, &d, &fatal_w));
   if (d.last_live != nullptr && d.last_live->kind() != ptl::Kind::kFalse) {
     TIC_ASSIGN_OR_RETURN(
         ptl::CollapseExplanation ce,

@@ -58,7 +58,7 @@ struct MonitorVerdict {
   /// is the transition-cache hit rate; in steady state it approaches 1.
   ptl::TransitionSystemStats automaton_stats;
   /// Cumulative counters of the shared compiled-automaton cache, when one was
-  /// injected through CheckOptions (batch/trigger-level sharing).
+  /// injected through CheckOptions (shared across monitors and triggers).
   ptl::AutomatonCacheStats automaton_cache_stats;
   /// Cohort lockstep stepping (CheckOptions::cohort_stepping): number of
   /// letter-disjoint cohorts and the instances stepped through them in
@@ -94,11 +94,14 @@ struct MonitorVerdict {
 /// satisfiability check — the incremental reading of Theorem 4.2.
 class Monitor {
  public:
-  /// `phi` must be a universal safety sentence over `vocab`.
+  /// `phi` must be a universal safety formula over `vocab` whose free
+  /// variables are all bound by `binding` — a sentence when `binding` is
+  /// empty. Bound values ground like constants (CheckPotentialSatisfaction's
+  /// binding): TriggerManager monitors !C theta this way.
   static Result<std::unique_ptr<Monitor>> Create(
       std::shared_ptr<fotl::FormulaFactory> fotl_factory, fotl::Formula phi,
       std::vector<Value> constant_interp = {}, CheckOptions options = {},
-      MonitorMode mode = MonitorMode::kEager);
+      MonitorMode mode = MonitorMode::kEager, fotl::Valuation binding = {});
 
   /// Applies `txn` (appending one state to the history) and re-checks.
   Result<MonitorVerdict> ApplyTransaction(const Transaction& txn);
@@ -141,7 +144,8 @@ class Monitor {
   friend class MonitorCheckpoint;
 
   Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory, fotl::Formula phi,
-          History history, CheckOptions options, MonitorMode mode);
+          History history, CheckOptions options, MonitorMode mode,
+          fotl::Valuation binding = {});
 
   // Residual of `assignment` at the current instant: its catch-up basis
   // progressed through the stored word (used when new elements join R_D).
@@ -200,6 +204,7 @@ class Monitor {
   fotl::Formula phi_;
   std::vector<fotl::VarId> external_;
   fotl::Formula matrix_ = nullptr;
+  fotl::Valuation binding_;  // free variables of phi_ -> bound values
   CheckOptions options_;
   MonitorMode mode_;
 
@@ -277,7 +282,10 @@ class Monitor {
   // canonical assignment with at least one kept stand-in (index k..2k-1),
   // holding the residual the assignment WOULD have reached at the checkpoint
   // had its unknown elements been watched from the start (they are
-  // indistinguishable from the kept stand-ins over the folded prefix).
+  // indistinguishable from the kept stand-ins over the folded prefix). In
+  // progression mode, whose instance residuals run ahead of the checkpoint,
+  // every instance known at the fold also keeps its checkpoint residual here
+  // (under its own assignment): the basis provenance replays from.
   struct CompactPattern {
     std::vector<GroundElem> assignment;
     ptl::Formula residual;
@@ -329,11 +337,12 @@ class Monitor {
                            ptl::Formula joint_residual, MonitorVerdict* verdict);
   Result<Diagnosis> DiagnoseInstance(uint32_t idx, size_t t,
                                      const ptl::PropState& w);
-  // Progresses `grounded` through the stored word, keeping the last-K
-  // trajectory; fills d->trajectory / d->residual / d->last_live and sets
-  // *fatal_w to the letter under which the residual first collapsed (the
+  // Progresses `basis` (CatchUpBasis: the residual at the start of the
+  // stored word) through the stored word, keeping the last-K trajectory at
+  // absolute instants; fills d->trajectory / d->residual / d->last_live and
+  // sets *fatal_w to the letter under which the residual first collapsed (the
   // final letter when it never literally reached `false`).
-  Status BuildTrajectory(ptl::Formula grounded, Diagnosis* d,
+  Status BuildTrajectory(ptl::Formula basis, Diagnosis* d,
                          ptl::PropState* fatal_w);
   // Decodes last_delta_ into d->delta using the letter names.
   void CaptureDelta(Diagnosis* d) const;
@@ -355,9 +364,9 @@ class Monitor {
   // per-instance covers (exponential in N — the FIFO constraint over a
   // handful of orders already exceeds any expansion budget), while the
   // residual graph only materializes states the actual history visits.
-  // The closure-bitset ptl::TransitionSystem covers the single-pattern
-  // cases (batch checks, trigger substitution sweeps) where the cover is
-  // small and renaming-sharing pays off.
+  // The closure-bitset ptl::TransitionSystem covers the single-instance
+  // cases (cohorts below) where the cover is small and renaming-sharing
+  // pays off.
   //
   // Fresh elements change the joint formula: their arrival starts a new
   // epoch (graph reset) and replays `word_`, one transition per past state.

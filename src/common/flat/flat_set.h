@@ -52,44 +52,6 @@ class FlatSet {
   FlatTable<K, K, GetKey, HashT, EqT> table_;
 };
 
-/// Fixed-capacity set: at most N keys, storage fully inline. Insert on a
-/// full set returns false without inserting — indistinguishable from
-/// "already present" by return value alone, so callers that need to tell the
-/// two apart check full() first.
-template <typename K, size_t N, typename HashT = Hash<K>,
-          typename EqT = std::equal_to<K>>
-class FixedFlatSet {
- public:
-  using GetKey = typename FlatSet<K, HashT, EqT>::GetKey;
-  static constexpr size_t kCapacity = N;
-
-  bool Contains(const K& key) const { return table_.Contains(key); }
-
-  /// True when inserted; false when already present OR the set is full
-  /// (check full() to distinguish).
-  template <typename KeyArg>
-  bool Insert(KeyArg&& key) {
-    auto [e, inserted] =
-        table_.FindOrEmplace(key, [&] { return K(std::forward<KeyArg>(key)); });
-    (void)e;
-    return inserted;
-  }
-
-  bool Erase(const K& key) { return table_.Erase(key); }
-  void Clear() { table_.Clear(); }
-
-  size_t size() const { return table_.size(); }
-  bool empty() const { return table_.empty(); }
-  bool full() const { return table_.full(); }
-  size_t capacity() const { return kCapacity; }
-
-  template <typename Fn>
-  void ForEach(Fn fn) const { table_.ForEach(fn); }
-
- private:
-  FlatTable<K, K, GetKey, HashT, EqT, N> table_;
-};
-
 }  // namespace flat
 }  // namespace tic
 

@@ -14,7 +14,7 @@
 namespace tic {
 
 /// \brief A fixed-size pool of worker threads for data-parallel sections of
-/// the checker hot path (residual progression, trigger substitution sweeps).
+/// the checker hot path (the monitor's residual progression).
 ///
 /// Deliberately minimal — no work stealing, no futures: the checker's
 /// parallelism is flat fork/join over an index range, so a shared atomic

@@ -263,17 +263,45 @@ QtcnCase GenerateQtcnCase(Entropy* ent, const QtcnCaseOptions& options) {
   return out;
 }
 
-FotlCase GenerateTriggerCase(Entropy* ent) {
+FotlCase GenerateTriggerCase(Entropy* ent, const TriggerCaseOptions& options) {
   CaseBuilder builder(2);
+  fotl::FormulaFactory& fac = *builder.factory();
+  const TriggerShape shape = options.shape;
+  const bool two_vars = shape == TriggerShape::kPair || shape == TriggerShape::kPartner;
+  const size_t body_vars = two_vars ? 2 : 1;
   int depth = 1 + static_cast<int>(ent->Below(2));
-  fotl::Formula condition = builder.GenCosafe(ent, /*num_vars=*/1, depth);
-  size_t len = 3 + ent->Below(3);
-  std::vector<Transaction> stream;
-  stream.reserve(len);
-  for (size_t t = 0; t < len; ++t) {
-    stream.push_back(ChurnTxn(ent, builder.preds(), {1, 2}));
+  fotl::Formula condition = builder.GenCosafe(ent, body_vars, depth);
+  if (two_vars) {
+    // The disequality keeps both variables free whatever the body mentions.
+    condition =
+        fac.And(fac.Not(fac.Equals(builder.Var(0), builder.Var(1))), condition);
   }
-  return builder.Finish(condition, /*num_vars=*/1, std::move(stream));
+  if (shape == TriggerShape::kClosed) {
+    condition = fac.Exists(fac.InternVar("x"), condition);
+  } else if (shape == TriggerShape::kPartner) {
+    condition = fac.Exists(fac.InternVar("y"), condition);
+  }
+  std::vector<Transaction> stream;
+  if (options.long_stream > 0) {
+    for (size_t t = 0; t < options.long_stream; ++t) {
+      std::vector<Value> universe = {1, 2};
+      if (3 * t >= 2 * options.long_stream) universe.push_back(3);
+      stream.push_back(SingleOpTxn(ent, builder.preds(), universe));
+    }
+    return builder.Finish(condition, body_vars, std::move(stream));
+  }
+  size_t len = 3 + ent->Below(3);
+  if (options.arrivals) {
+    len += 1;
+    if (ent->Below(2) == 0) stream.emplace_back();
+  }
+  stream.reserve(len);
+  while (stream.size() < len) {
+    std::vector<Value> universe = {1, 2};
+    if (options.arrivals && stream.size() >= len / 2) universe.push_back(3);
+    stream.push_back(ChurnTxn(ent, builder.preds(), universe));
+  }
+  return builder.Finish(condition, body_vars, std::move(stream));
 }
 
 }  // namespace testing

@@ -137,11 +137,34 @@ struct SafetyCaseOptions {
 /// (byte mode).
 FotlCase GenerateSafetyCase(Entropy* ent, const SafetyCaseOptions& options = {});
 
-/// \brief An open existential-fragment trigger condition (free variable "x")
-/// over a fresh 2-predicate vocabulary, plus a churn stream: the input shape
-/// of the trigger-duality oracle. The condition body is a positive co-safe
-/// formula, so its negation is universal and TriggerManager accepts it.
-FotlCase GenerateTriggerCase(Entropy* ent);
+/// \brief Trigger condition shapes; `body` is a positive co-safe formula.
+enum class TriggerShape {
+  kOneParam,  ///< body(x): one parameter (the historical shape)
+  kClosed,    ///< exists x . body(x): no parameter
+  kPair,      ///< x != y & body(x, y): two parameters
+  kPartner,   ///< exists y . x != y & body(x, y): one parameter, one partner
+};
+
+/// \brief Knobs for GenerateTriggerCase. Defaults reproduce the historical
+/// trigger-duality cases draw for draw.
+struct TriggerCaseOptions {
+  TriggerShape shape = TriggerShape::kOneParam;
+  /// Arrival stream instead of the historical churn over {1, 2}: an optional
+  /// leading empty transaction (an instant with empty R_D), then churn over
+  /// {1, 2} with element 3 joining in the back half (late substitutions).
+  bool arrivals = false;
+  /// When non-zero, overrides the stream: `long_stream` single-op
+  /// transactions (SingleOpTxn) over {1, 2}, element 3 joining for the last
+  /// third — long enough for live substitution monitors to fold.
+  size_t long_stream = 0;
+};
+
+/// \brief A trigger condition in the existential fragment over a fresh
+/// 2-predicate vocabulary, plus a stream: the input shape of the
+/// trigger-duality oracle and the trigger differential suite. The condition
+/// body is a positive co-safe formula, so its negation is universal and
+/// TriggerManager accepts it.
+FotlCase GenerateTriggerCase(Entropy* ent, const TriggerCaseOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // QTCN generator: random point-algebra order constraints compiled to the

@@ -445,5 +445,71 @@ Result<OracleResult> TriggerDualityHolds(const FotlCase& c) {
   return OracleResult{};
 }
 
+Result<std::vector<checker::TriggerFiring>> BatchTriggerFirings(
+    fotl::FormulaFactory* factory, const std::vector<TriggerDecl>& triggers,
+    const History& history, const checker::CheckOptions& options) {
+  std::vector<checker::TriggerFiring> firings;
+  if (history.empty()) return firings;
+  size_t now = history.length() - 1;
+  std::vector<Value> relevant = history.RelevantSet();
+  if (relevant.empty()) relevant.push_back(0);  // degenerate domain
+  checker::CheckOptions check_opts = options;
+  check_opts.want_witness = false;  // triggers only need the verdict
+
+  for (const TriggerDecl& trig : triggers) {
+    // Dualize: C == exists y1..ym . rho   =>   !C == forall y1..ym . !rho.
+    std::vector<fotl::VarId> exist_vars;
+    fotl::Formula body = trig.condition;
+    while (body->kind() == fotl::NodeKind::kExists) {
+      exist_vars.push_back(body->var());
+      body = body->child(0);
+    }
+    fotl::Formula negated = factory->Not(body);
+    for (auto it = exist_vars.rbegin(); it != exist_vars.rend(); ++it) {
+      negated = factory->Forall(*it, negated);
+    }
+    const std::vector<fotl::VarId>& params = trig.condition->free_vars();
+    size_t p = params.size();
+    std::vector<size_t> idx(p, 0);
+    while (true) {
+      fotl::Valuation theta;
+      for (size_t i = 0; i < p; ++i) theta[params[i]] = relevant[idx[i]];
+      TIC_ASSIGN_OR_RETURN(
+          checker::CheckResult check,
+          checker::CheckPotentialSatisfaction(*factory, negated, history, theta,
+                                              check_opts));
+      if (!check.potentially_satisfied) {
+        checker::TriggerFiring firing{trig.name, now, theta, {}};
+        if (options.provenance) {
+          std::string& e = firing.explanation;
+          e += "trigger \"" + firing.trigger + "\" fired at t=";
+          e += std::to_string(now);
+          e += " for [";
+          bool first = true;
+          for (fotl::VarId v : params) {
+            if (!first) e += ", ";
+            first = false;
+            e += factory->VarName(v);
+            e += "=";
+            e += std::to_string(theta.at(v));
+          }
+          e += "]: no extension of the history can falsify the condition (the "
+               "negated condition lost potential satisfaction";
+          e += check.permanently_violated ? "; its residual collapsed to false)"
+                                          : ")";
+        }
+        firings.push_back(std::move(firing));
+      }
+      size_t d = 0;
+      while (d < p && ++idx[d] == relevant.size()) {
+        idx[d] = 0;
+        ++d;
+      }
+      if (d == p) break;
+    }
+  }
+  return firings;
+}
+
 }  // namespace testing
 }  // namespace tic

@@ -3,7 +3,9 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "checker/trigger.h"
 #include "common/result.h"
 #include "ptl/tableau.h"
 #include "testing/generators.h"
@@ -94,6 +96,26 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed = 0
 /// enumerates substitutions over R_D and calls the progression backend.
 /// `c.sentence` is the open existential condition.
 Result<OracleResult> TriggerDualityHolds(const FotlCase& c);
+
+/// \brief One registered trigger of the batch reference below.
+struct TriggerDecl {
+  std::string name;
+  fotl::Formula condition;
+};
+
+/// \brief Reference trigger firings at the last instant of `history`: the
+/// Section 2 duality as a batch sweep, independent of the incremental
+/// monitors TriggerManager runs. For every trigger (in order) and every
+/// substitution theta over R_D (sorted, first parameter fastest; the
+/// degenerate domain {0} while R_D is empty), one from-scratch
+/// CheckPotentialSatisfaction of the dualized condition over the whole
+/// history; theta fires iff the check says NO.
+/// Times, substitutions and explanation texts are those TriggerManager must
+/// reproduce byte for byte (the explanation only when options.provenance).
+/// Actions are not invoked.
+Result<std::vector<checker::TriggerFiring>> BatchTriggerFirings(
+    fotl::FormulaFactory* factory, const std::vector<TriggerDecl>& triggers,
+    const History& history, const checker::CheckOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Test-only fault injection.

@@ -2,15 +2,12 @@
 // safety sentences and random update streams, the automaton backend
 // (memoized residual-graph transitions, liveness decided once per state) must
 // produce exactly the same per-update verdicts as the literal progression +
-// CheckSat procedure it replaces. Three families:
+// CheckSat procedure it replaces. Two families:
 //   A. Random safe matrices (1 and 2 variables) over random streams with
 //      fresh elements arriving mid-stream (epoch recompiles + word replay).
 //   B. Spill-sized closures: deep Next-chains whose grounded joint closure
 //      exceeds the FlatBits inline width (256 bits), exercising the heap
 //      bitset path on both backends.
-//   C. Batch checks with require_safety=false on non-safe formulas: the
-//      closure-bitset TransitionSystem's eager (SCC) liveness mode against
-//      progression + tableau, including the clamped-budget fallback.
 //
 // Case generation and the backend-equality oracle live in src/testing/
 // (shared with checker_property_test and fuzz_monitor_diff); seed mode there
@@ -87,58 +84,6 @@ TEST(BackendDiffTest, SpillSizedClosuresAgreePerUpdate) {
     ExpectBackendsAgree(builder.Finish(phi, 1, std::move(stream)),
                         "caseB#" + std::to_string(c));
   }
-}
-
-TEST(BackendDiffTest, BatchNonSafeChecksAgree) {
-  // Family C: the batch checker with require_safety=false on formulas with
-  // positive Until/Eventually — the TransitionSystem's eager SCC-liveness
-  // mode (and, where compilation exceeds the clamped budget, its fallback to
-  // progression) against the reference two-phase procedure.
-  constexpr int kCases = 200;
-  int automaton_ran = 0;
-  for (int c = 0; c < kCases; ++c) {
-    tt::Entropy ent(0xc2b2ae35u + static_cast<uint32_t>(c));
-    tt::CaseBuilder builder(2 + ent.Below(2));
-    size_t num_vars = 1;
-    int depth = 2 + static_cast<int>(ent.Below(2));
-    fotl::Formula matrix = builder.GenCosafe(&ent, num_vars, depth);
-    if (ent.Below(2) == 0) {
-      matrix = builder.factory()->And(matrix,
-                                      builder.GenSafe(&ent, num_vars, 2));
-    }
-    fotl::Formula phi = builder.Quantify(matrix, num_vars);
-
-    History h = *History::Create(builder.vocab(), {});
-    size_t len = 2 + ent.Below(3);
-    std::vector<Transaction> stream;
-    for (size_t t = 0; t < len; ++t) {
-      stream.push_back(tt::ChurnTxn(&ent, builder.preds(), {1, 2}));
-      ASSERT_TRUE(ApplyTransaction(&h, stream.back()).ok());
-    }
-    tt::FotlCase kase = builder.Finish(phi, num_vars, std::move(stream));
-
-    CheckOptions prog_opts;
-    prog_opts.backend = MonitorBackend::kProgression;
-    prog_opts.require_safety = false;
-    prog_opts.want_witness = false;
-    CheckOptions auto_opts = prog_opts;
-    auto_opts.backend = MonitorBackend::kAutomaton;
-
-    auto rp = CheckPotentialSatisfaction(*builder.factory(), phi, h, {},
-                                         prog_opts);
-    auto ra = CheckPotentialSatisfaction(*builder.factory(), phi, h, {},
-                                         auto_opts);
-    ASSERT_TRUE(rp.ok()) << "caseC#" << c << ": " << rp.status().ToString()
-                         << "\nreproducer:\n" << tt::SerializeCase(kase);
-    ASSERT_TRUE(ra.ok()) << "caseC#" << c << ": " << ra.status().ToString()
-                         << "\nreproducer:\n" << tt::SerializeCase(kase);
-    EXPECT_EQ(rp->potentially_satisfied, ra->potentially_satisfied)
-        << "caseC#" << c << "\nreproducer:\n" << tt::SerializeCase(kase);
-    if (ra->tableau_stats.num_expansions == 0) ++automaton_ran;
-  }
-  // The clamped-budget fallback must not have swallowed the whole family:
-  // most single-variable groundings compile fine.
-  EXPECT_GT(automaton_ran, kCases / 2);
 }
 
 // TIC_REPLAY_FILE=<path>: load a reproducer written from a failure message

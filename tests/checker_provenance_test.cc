@@ -181,6 +181,59 @@ TEST_F(ProvenanceTest, TransactionsFromHistoryRebuildStateForState) {
   }
 }
 
+TEST_F(ProvenanceTest, DiagnosisAfterCompactionMatchesUncompactedTwin) {
+  // A fold at t=2 must not change the explanation of a later violation: the
+  // culprit, its residual and the trajectory tail after the fold (absolute
+  // instants) equal those of a twin that never compacted. Element 9 arrives
+  // after the fold, so its instance is caught up from a pattern.
+  for (MonitorBackend backend :
+       {MonitorBackend::kAutomaton, MonitorBackend::kProgression}) {
+    CheckOptions options;
+    options.backend = backend;
+    auto plain = *Monitor::Create(fac_, submit_once_, {}, options);
+    auto folded = *Monitor::Create(fac_, submit_once_, {}, options);
+    const std::vector<Transaction> stream = {
+        Txn({7}, {}), Txn({8}, {}, {7}), Txn({}, {}, {8}), Txn({9}, {}),
+        Txn({7}, {}, {9})};
+    const size_t fold_at = 2;
+    MonitorVerdict a, b;
+    for (size_t t = 0; t < stream.size(); ++t) {
+      auto va = plain->ApplyTransaction(stream[t]);
+      auto vb = folded->ApplyTransaction(stream[t]);
+      ASSERT_TRUE(va.ok()) << va.status().ToString();
+      ASSERT_TRUE(vb.ok()) << vb.status().ToString();
+      if (t == fold_at) ASSERT_TRUE(folded->Compact().ok());
+      a = *va;
+      b = *vb;
+    }
+    ASSERT_TRUE(a.permanently_violated);
+    ASSERT_TRUE(b.permanently_violated);
+    ASSERT_EQ(a.explanations().size(), 1u);
+    ASSERT_EQ(b.explanations().size(), 1u);
+    const Diagnosis& da = a.explanations()[0];
+    const Diagnosis& db = b.explanations()[0];
+    EXPECT_EQ(da.assignment_text, "x=7");
+    EXPECT_EQ(db.assignment_text, da.assignment_text);
+    ASSERT_NE(db.residual, nullptr);
+    EXPECT_EQ(ptl::ToString(*db.factory, db.residual),
+              ptl::ToString(*da.factory, da.residual));
+    std::vector<std::string> tail_a, tail_b;
+    for (const DiagnosisStep& s : da.trajectory) {
+      if (s.time > fold_at) {
+        tail_a.push_back(std::to_string(s.time) + ": " +
+                         ptl::ToString(*da.factory, s.residual));
+      }
+    }
+    for (const DiagnosisStep& s : db.trajectory) {
+      EXPECT_GT(s.time, fold_at) << "the folded monitor replays post-fold only";
+      tail_b.push_back(std::to_string(s.time) + ": " +
+                       ptl::ToString(*db.factory, s.residual));
+    }
+    EXPECT_EQ(tail_b.size(), 2u);
+    EXPECT_EQ(tail_b, tail_a);
+  }
+}
+
 TEST_F(ProvenanceTest, TriggerFiringsCarryAnExplanation) {
   auto mgr = *TriggerManager::Create(fac_);
   ASSERT_TRUE(

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/flat/arena.h"
 #include "common/flat/flat_map.h"
 #include "common/flat/flat_set.h"
 #include "common/flat/lru.h"
@@ -305,26 +304,6 @@ TEST(FixedFlatMap, CapacityExhaustion) {
   EXPECT_TRUE(fm.full());
 }
 
-TEST(FixedFlatSet, CapacityExhaustionAndChurn) {
-  flat::FixedFlatSet<uint32_t, 8> fs;
-  for (uint32_t k = 0; k < 8; ++k) ASSERT_TRUE(fs.Insert(k));
-  EXPECT_TRUE(fs.full());
-  EXPECT_FALSE(fs.Insert(100u));  // refused: full
-  EXPECT_FALSE(fs.Insert(3u));    // refused: duplicate (not a capacity issue)
-  EXPECT_TRUE(fs.Contains(3u));
-  // Fill/drain churn at the boundary exercises backward shift in inline
-  // storage.
-  for (int round = 0; round < 50; ++round) {
-    uint32_t victim = static_cast<uint32_t>(round % 8);
-    ASSERT_TRUE(fs.Erase(victim));
-    ASSERT_TRUE(fs.Insert(victim + 1000));
-    ASSERT_TRUE(fs.full());
-    ASSERT_TRUE(fs.Erase(victim + 1000));
-    ASSERT_TRUE(fs.Insert(victim));
-  }
-  EXPECT_EQ(fs.size(), 8u);
-}
-
 TEST(FixedFlatMap, WorstCaseCollisionsStayInline) {
   flat::FixedFlatMap<uint32_t, uint32_t, 32, CollidingHash> fm;
   for (uint32_t k = 0; k < 32; ++k) ASSERT_TRUE(fm.Emplace(k, k).second);
@@ -388,45 +367,6 @@ TEST(SmallVec, CopyMoveEquality) {
   EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move): documented reset
   a = d;                    // reassign after move-out
   EXPECT_EQ(a, c);
-}
-
-// ---------------------------------------------------------------------------
-// EpochArena
-
-TEST(EpochArena, AlignmentAndReuse) {
-  flat::EpochArena arena;
-  void* p8 = arena.Alloc(3, 1);
-  void* p16 = arena.Alloc(16, 16);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p16) % 16, 0u);
-  EXPECT_NE(p8, p16);
-
-  // Warm up one epoch's worth of allocation, then verify later epochs stay
-  // within the reserved blocks.
-  arena.Reset();
-  for (int i = 0; i < 100; ++i) arena.Alloc(64, 8);
-  size_t reserved = arena.bytes_reserved();
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    arena.Reset();
-    for (int i = 0; i < 100; ++i) {
-      void* p = arena.Alloc(64, 8);
-      std::memset(p, epoch, 64);  // memory is writable and exclusive
-    }
-    EXPECT_EQ(arena.bytes_reserved(), reserved) << "epoch " << epoch;
-  }
-}
-
-TEST(EpochArena, ArenaVecGrowth) {
-  flat::EpochArena arena;
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    arena.Reset();
-    flat::ArenaVec<uint32_t> v(&arena, 2);
-    std::vector<uint32_t> ref;
-    for (uint32_t i = 0; i < 1000; ++i) {
-      v.push_back(i * 3);
-      ref.push_back(i * 3);
-    }
-    ASSERT_TRUE(std::equal(v.begin(), v.end(), ref.begin(), ref.end()));
-  }
 }
 
 // ---------------------------------------------------------------------------
